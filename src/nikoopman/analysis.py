@@ -6,7 +6,8 @@ assembles a :class:`ValidationReport` holding, for every candidate model:
 prediction error against a reference trajectory, NI evidence (LMI residuals
 when a certificate P is available, the frequency-grid check always), DC
 gain, and the closed-loop verdict under a positive-position-feedback
-controller.
+controller, judged on the spectral radius of the discretized loop computed
+from its exact eigenvalue moduli.
 
 Linearized baselines are simulated through their exact zero-order-hold
 discretization (matrix exponential); lifted models iterate their own
@@ -15,7 +16,7 @@ discrete recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -148,16 +149,7 @@ class CandidateModel:
 class ClosedLoopVerdict:
     dc_gain_lambda_max: float
     spectral_radius: float
-    radius_converged: bool
     verdict: str  # stable | unstable | inconclusive
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dc_gain_lambda_max": self.dc_gain_lambda_max,
-            "spectral_radius": self.spectral_radius,
-            "radius_converged": self.radius_converged,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -180,20 +172,11 @@ class ModelReport:
         out["mse_states"] = [float(v) for v in self.mse_states]
         out["mse_outputs"] = [float(v) for v in self.mse_outputs]
         if self.lmi is not None:
-            out["lmi"] = {
-                "lyap_max_eig": self.lmi.lyap_max_eig,
-                "b_eq_gap": self.lmi.b_eq_gap,
-                "p_min_eig": self.lmi.p_min_eig,
-                "certified": self.lmi.certified,
-            }
-        out["phase"] = {
-            "min_eig_over_grid": self.phase.min_eig_over_grid,
-            "worst_omega": self.phase.worst_omega,
-            "is_ni": self.phase.is_ni,
-        }
+            out["lmi"] = asdict(self.lmi)
+        out["phase"] = asdict(self.phase)
         out["dc_gain"] = self.dc_gain
         if self.closed_loop is not None:
-            out["closed_loop"] = self.closed_loop.to_json_dict()
+            out["closed_loop"] = asdict(self.closed_loop)
         return out
 
 
@@ -215,7 +198,7 @@ def closed_loop_verdict(
     """Positive feedback with the PPF; stability judged on the discretized loop.
 
     The verdict bands are +/- TOL.stability_margin around radius one, far
-    tighter than the power-iteration estimate can resolve on the non-normal
+    tighter than an iterative estimate can resolve on the non-normal
     closed-loop matrices that arise here, so the radius is computed from the
     exact eigenvalue moduli.
     """
@@ -231,7 +214,6 @@ def closed_loop_verdict(
     return ClosedLoopVerdict(
         dc_gain_lambda_max=fb.dc_gain_lambda_max,
         spectral_radius=radius,
-        radius_converged=True,
         verdict=verdict,
     )
 

@@ -31,6 +31,9 @@ EXIT_SIMULATION = 3
 EXIT_SOLVER = 4
 EXIT_VALIDATION = 5
 
+# after a bare --x0, argparse takes "-0.5,0.5" for an option; "--x0=..." is one token
+X0_HELP = "initial state, comma separated; with a leading minus write --x0=-0.5,0.5"
+
 
 def _parse_floats(text: str, expected: int | None = None, name: str = "value") -> list[float]:
     try:
@@ -95,7 +98,7 @@ def cmd_identify(args) -> int:
     cfg_json = _config_json(
         args,
         ["traj", "nrbf", "center_seed", "alpha", "mode", "strict_b",
-         "normalize", "max_iters", "rho"],
+         "normalize", "max_iters"],
     )
     exit_code = EXIT_OK
     if args.mode == "unconstrained":
@@ -109,7 +112,6 @@ def cmd_identify(args) -> int:
         cfg = identify.IdentifyConfig(
             alpha=args.alpha,
             strict_b=args.strict_b,
-            rho=args.rho,
             max_iters=args.max_iters,
         )
         result = identify.identify_ni(traj, dictionary, cfg)
@@ -150,25 +152,6 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _load_candidate(path: Path) -> analysis.CandidateModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    mdl, solver = nicore.model_from_json_dict(payload)
-    P = None
-    if solver is not None and "P" in solver:
-        P = np.asarray(solver["P"], dtype=float)
-    if "continuous" in payload:
-        c = payload["continuous"]
-        cont = nicore.ContinuousLinearModel(
-            A=np.asarray(c["A"], dtype=float),
-            B=np.asarray(c["B"], dtype=float),
-            C=np.asarray(c["C"], dtype=float),
-            D=np.asarray(c["D"], dtype=float),
-        )
-        return analysis.CandidateModel(name=path.stem, continuous=cont, P=P)
-    return analysis.CandidateModel(name=path.stem, discrete=mdl, P=P)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -197,7 +180,14 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reference = dynamics.TrajectoryData.load_csv(traj_path)
-        candidates = [_load_candidate(p) for p in model_paths]
+        candidates = []
+        for p in model_paths:
+            # a linearization simulates through its continuous block
+            mdl, solver, cont = nicore.load_model(p)
+            P = np.asarray(solver["P"], dtype=float) if solver and "P" in solver else None
+            candidates.append(analysis.CandidateModel(
+                name=p.stem, discrete=mdl if cont is None else None, continuous=cont, P=P
+            ))
         ctrl = None
         if args.ppf is not None:
             K, zeta, omega = _parse_floats(args.ppf, 3, "--ppf")
@@ -288,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the plant and write a trajectory CSV")
     _add_plant_args(p)
-    p.add_argument("--x0", default="0,0", help="initial state, comma separated")
+    p.add_argument("--x0", default="0,0", help=X0_HELP)
     p.add_argument("--input", default="random", choices=["random", "prbs", "sine", "zero"])
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--hold", type=int, default=25, help="samples per input plateau")
@@ -308,13 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute B from the NI equality (full certificate)")
     p.add_argument("--normalize", action="store_true", help="z-score states before lifting")
     p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
-    p.add_argument("--rho", type=float, default=1.0, help="ADMM step size")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_identify)
 
     p = sub.add_parser("linearize", help="Jacobian linearization of the plant")
     _add_plant_args(p)
-    p.add_argument("--x0", default="0,0")
+    p.add_argument("--x0", default="0,0", help=X0_HELP)
     p.add_argument("--T", type=float, default=0.01)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_linearize)

@@ -27,8 +27,9 @@ A_d is recovered as Q P^-1.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,6 +140,25 @@ def reduce_cost(sol: EdmdSolution, W: np.ndarray | None, dm: DataMatrices) -> Re
 # ADMM solver
 # ---------------------------------------------------------------------------
 
+RHO_INIT = 1.0  # initial ADMM step size of both solvers
+
+
+def _balance_factor(iterations: int, primal: float, dual: float, rho: float) -> float:
+    """Residual-balancing step-size factor (Boyd et al. 2011, sec. 3.4.1).
+
+    Every 50 iterations the step size doubles when the primal residual exceeds
+    ten times the dual one and halves in the opposite case, within
+    [1e-6, 1e6]; otherwise the factor is 1.  The caller multiplies rho by the
+    factor and divides the scaled dual by it.
+    """
+    if iterations % 50:
+        return 1.0
+    if primal > 10.0 * dual and rho < 1e6:
+        return 2.0
+    if dual > 10.0 * primal and rho > 1e-6:
+        return 0.5
+    return 1.0
+
 
 @dataclass(frozen=True)
 class NiProgram:
@@ -146,13 +166,10 @@ class NiProgram:
 
     G_A: np.ndarray
     G_B: np.ndarray
-    T: float
     alpha: float = 1e-3
     W: np.ndarray | None = None
-    rho: float = 1.0
     max_iters: int = 20000
     tol: float = TOL.admm_rel
-    adapt_rho: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "G_A", np.atleast_2d(np.asarray(self.G_A, dtype=float)))
@@ -161,8 +178,8 @@ class NiProgram:
             object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.rho <= 0 or self.max_iters < 1:
-            raise ValueError("rho must be positive and max_iters at least 1")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +196,6 @@ class NiProgramSolution:
     objective: float
     lmi_min_eig: float
     converged: bool
-    residual_history: np.ndarray | None = field(repr=False, default=None)
     completion: dict | None = None
 
 
@@ -210,7 +226,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     Raises:
         SingularPError: P numerically singular when recovering A_d = Q P^-1.
     """
-    G_A, alpha, rho = prog.G_A, prog.alpha, prog.rho
+    G_A, alpha, rho = prog.G_A, prog.alpha, RHO_INIT
     N = G_A.shape[0]
     eye = np.eye(N)
     W = eye if prog.W is None else prog.W
@@ -234,7 +250,6 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     U = np.zeros((2 * N, 2 * N))
 
     primal = dual = np.inf
-    history = []
     iterations = 0
     converged = False
     for iterations in range(1, prog.max_iters + 1):
@@ -252,22 +267,15 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         dual = float(rho * np.linalg.norm(Z_new - Z))
         U += SX - Z_new
         Z = Z_new
-        history.append((primal, dual))
         scale = max(1.0, float(np.linalg.norm(SX)), float(np.linalg.norm(Z)))
         if primal <= prog.tol * scale and dual <= prog.tol * scale:
             converged = True
             break
-        # residual balancing: factor-2 step-size moves with the scaled dual
-        # rescaled accordingly (Boyd et al. style), bounded to stay sane
-        if prog.adapt_rho and iterations % 50 == 0:
-            if primal > 10.0 * dual and rho < 1e6:
-                rho *= 2.0
-                U /= 2.0
-                F, Vt, UH, denom = factorize(rho)
-            elif dual > 10.0 * primal and rho > 1e-6:
-                rho /= 2.0
-                U *= 2.0
-                F, Vt, UH, denom = factorize(rho)
+        factor = _balance_factor(iterations, primal, dual, rho)
+        if factor != 1.0:
+            rho *= factor
+            U /= factor
+            F, Vt, UH, denom = factorize(rho)
 
     # post-hoc feasibility: shifting P by delta I moves the whole block by
     # exactly delta I, so one shift restores lambda_min >= 0
@@ -293,7 +301,6 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         objective=cost.objective(P, Q),
         lmi_min_eig=lmi_min,
         converged=converged,
-        residual_history=np.asarray(history),
     )
 
 
@@ -321,6 +328,10 @@ def _sym_basis_rows(N: int) -> np.ndarray:
     return np.array(rows)
 
 
+COMPLETION_MAX_ITERS = 60000
+COMPLETION_MARGIN = 0.3  # extra cone margin, as a fraction of alpha
+
+
 @dataclass(frozen=True)
 class CertificateCompletion:
     """Data-optimal certificate P for a fixed A_d, with the matching B_d."""
@@ -341,10 +352,6 @@ def complete_certificate(
     T: float,
     alpha: float,
     P_init: np.ndarray | None = None,
-    rho: float = 1.0,
-    max_iters: int = 60000,
-    tol: float = 1e-8,
-    margin_factor: float = 0.3,
 ) -> CertificateCompletion:
     """Pick the NI certificate that best explains the measured input response.
 
@@ -357,12 +364,14 @@ def complete_certificate(
 
     by a two-cone ADMM with an exact quadratic P-update assembled once on the
     symmetric-matrix basis.  The cones are enforced with an extra relative
-    margin (``margin_factor`` times alpha) so the returned P satisfies the
-    nominal constraints with slack despite first-order residuals.
+    margin (``COMPLETION_MARGIN`` times alpha) so the returned P satisfies the
+    nominal constraints with slack despite first-order residuals.  The solve
+    stops at relative residual ``TOL.completion_rel`` or after
+    ``COMPLETION_MAX_ITERS`` iterations.
     """
     N = A_d.shape[0]
     eye = np.eye(N)
-    alpha_m = alpha * (1.0 + margin_factor)
+    alpha_m = alpha * (1.0 + COMPLETION_MARGIN)
     M = -(1.0 / T) * (A_d - eye)
     v = matcore.solve((eye + A_d).T, C_d.T)  # (N, l)
 
@@ -378,6 +387,7 @@ def complete_certificate(
         H = 2.0 * L1.T @ L1 + rho * np.eye(K) + rho * L2.T @ L2
         return matcore.solve(H, np.eye(K))
 
+    rho = RHO_INIT
     Hinv = factorize(rho)
     if P_init is None:
         P = alpha_m * eye
@@ -392,7 +402,7 @@ def complete_certificate(
     primal = dual = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, COMPLETION_MAX_ITERS + 1):
         t1 = (alpha_m * eye + Z1 - U1).ravel()
         t2 = (alpha_m * eye + Z2 - U2).ravel()
         p = Hinv @ (2.0 * L1.T @ g + rho * basis @ t1 + rho * L2.T @ t2)
@@ -409,20 +419,15 @@ def complete_certificate(
         U2 += C2 - Z2n
         Z1, Z2 = Z1n, Z2n
         scale = max(1.0, float(np.linalg.norm(P)))
-        if primal <= tol * scale and dual <= tol * scale:
+        if primal <= TOL.completion_rel * scale and dual <= TOL.completion_rel * scale:
             converged = True
             break
-        if iterations % 50 == 0:
-            if primal > 10.0 * dual and rho < 1e6:
-                rho *= 2.0
-                U1 /= 2.0
-                U2 /= 2.0
-                Hinv = factorize(rho)
-            elif dual > 10.0 * primal and rho > 1e-6:
-                rho /= 2.0
-                U1 *= 2.0
-                U2 *= 2.0
-                Hinv = factorize(rho)
+        factor = _balance_factor(iterations, primal, dual, rho)
+        if factor != 1.0:
+            rho *= factor
+            U1 /= factor
+            U2 /= factor
+            Hinv = factorize(rho)
 
     B_d = M @ P @ v
     rel = float(np.linalg.norm(B_d - G_B) / max(np.linalg.norm(G_B), np.finfo(float).tiny))
@@ -449,9 +454,7 @@ class IdentifyConfig:
     alpha: float = 1e-3
     W: np.ndarray | None = None
     strict_b: bool = False
-    rho: float = 1.0
     max_iters: int = 20000
-    tol: float = TOL.admm_rel
 
 
 @dataclass(frozen=True)
@@ -497,14 +500,7 @@ def identify_ni(
     sol = edmd_fit(dm)
     reduce_cost(sol, cfg.W, dm)  # validates the full-row-rank premise
     prog = NiProgram(
-        G_A=sol.G_A,
-        G_B=sol.G_B,
-        T=traj.T,
-        alpha=cfg.alpha,
-        W=cfg.W,
-        rho=cfg.rho,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
+        G_A=sol.G_A, G_B=sol.G_B, alpha=cfg.alpha, W=cfg.W, max_iters=cfg.max_iters
     )
     ni = solve_ni(prog)
     B_d = ni.B_d
@@ -516,20 +512,15 @@ def identify_ni(
                            G_A=sol.G_A, G_B=sol.G_B)
         # converged still reports the Problem-2 solve; the completion stage
         # carries its own residuals in the completion block
-        ni = NiProgramSolution(
+        ni = dataclasses.replace(
+            ni,
             P=comp.P,
             Q=Q,
             B_d=B_d,
-            A_d=ni.A_d,
-            iterations=ni.iterations,
-            primal_res=ni.primal_res,
-            dual_res=ni.dual_res,
             objective=cost.objective(comp.P, Q),
             lmi_min_eig=float(
                 matcore.sym_eig(_lmi_block(comp.P, Q, cfg.alpha)).eigenvalues[-1]
             ),
-            converged=ni.converged,
-            residual_history=ni.residual_history,
             completion={
                 "b_fit_rel": comp.b_fit_rel,
                 "iterations": comp.iterations,

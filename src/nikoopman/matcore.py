@@ -3,14 +3,12 @@
 Matrices are plain 2-D numpy arrays (float64 real, complex128 complex),
 row-major.  The helpers here wrap numpy/scipy LAPACK routines behind the
 small set of operations the identification pipeline needs: symmetric
-eigendecomposition, PSD cone projection, pseudoinverse, linear solves with
-explicit singularity detection, and a spectral-radius estimate that never
-touches a nonsymmetric eigensolver.
+eigendecomposition, PSD cone projection, pseudoinverse and linear solves with
+explicit singularity detection.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,12 +45,10 @@ class SymEig:
         eigenvalues: Real eigenvalues sorted descending.
         eigenvectors: Orthonormal eigenvectors, one per column, matching
             the eigenvalue order.
-        converged: False only if the solver had to stop early.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    converged: bool = True
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
@@ -131,41 +127,3 @@ def csolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     return _lu_solve(a, b)
 
-
-@dataclass(frozen=True)
-class SpectralRadius:
-    value: float
-    converged: bool
-
-
-def spectral_radius(a: np.ndarray) -> SpectralRadius:
-    """Spectral-radius estimate via Gelfand's formula.
-
-    Squares the matrix repeatedly, renormalizing each time and accumulating
-    the log of the factored-out norms, until successive estimates
-    rho_k = ||a^(2^k)||_F^(1/2^k) agree to ``TOL.gelfand_rel`` (relative) or
-    k = 14.  Never raises; inspect ``converged`` instead.
-    """
-    a = _square(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return SpectralRadius(0.0, True)
-    m = a.copy()
-    nrm = float(np.linalg.norm(m, "fro"))
-    if nrm == 0.0:
-        return SpectralRadius(0.0, True)
-    m /= nrm
-    log_norm = math.log(nrm)  # log ||a^(2^k)||_F for current k=0
-    estimate = math.exp(log_norm)
-    for k in range(1, 15):
-        m = m @ m
-        nrm = float(np.linalg.norm(m, "fro"))
-        if nrm == 0.0:
-            return SpectralRadius(0.0, True)  # nilpotent
-        m /= nrm
-        log_norm = 2.0 * log_norm + math.log(nrm)
-        new_estimate = math.exp(log_norm / 2.0**k)
-        rel = abs(new_estimate - estimate) / max(new_estimate, np.finfo(float).tiny)
-        estimate = new_estimate
-        if rel < TOL.gelfand_rel:
-            return SpectralRadius(estimate, True)
-    return SpectralRadius(estimate, False)

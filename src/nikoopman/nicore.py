@@ -370,8 +370,14 @@ def model_to_json_dict(
     return out
 
 
-def model_from_json_dict(d: dict) -> tuple[DiscreteLinearModel, dict | None]:
-    """Inverse of :func:`model_to_json_dict`; returns (model, solver block)."""
+def model_from_json_dict(
+    d: dict,
+) -> tuple[DiscreteLinearModel, dict | None, ContinuousLinearModel | None]:
+    """Inverse of :func:`model_to_json_dict`.
+
+    Returns (model, solver block, continuous realization); the last two are
+    None when the payload has no such block.
+    """
     dictionary = (
         LiftingDictionary.from_json_dict(d["dict"]) if d.get("dict") is not None else None
     )
@@ -383,7 +389,16 @@ def model_from_json_dict(d: dict) -> tuple[DiscreteLinearModel, dict | None]:
         T=float(d["T"]),
         dictionary=dictionary,
     )
-    return mdl, d.get("solver")
+    continuous = None
+    if "continuous" in d:
+        c = d["continuous"]
+        continuous = ContinuousLinearModel(
+            A=np.asarray(c["A"], dtype=float),
+            B=np.asarray(c["B"], dtype=float),
+            C=np.asarray(c["C"], dtype=float),
+            D=np.asarray(c["D"], dtype=float),
+        )
+    return mdl, d.get("solver"), continuous
 
 
 def save_model(path, mdl: DiscreteLinearModel, **blocks) -> None:
@@ -392,7 +407,9 @@ def save_model(path, mdl: DiscreteLinearModel, **blocks) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> tuple[DiscreteLinearModel, dict | None]:
+def load_model(
+    path,
+) -> tuple[DiscreteLinearModel, dict | None, ContinuousLinearModel | None]:
     with open(path) as fh:
         return model_from_json_dict(json.load(fh))
 

@@ -3,11 +3,13 @@
 Every tolerance used by the kernels, the solver and the test suite lives in
 one record so they cannot drift apart.  The environment variable
 ``NIKOOPMAN_TOL_SCALE`` multiplies all of them, which lets CI loosen the
-whole suite uniformly on slow or exotic platforms.
+whole suite uniformly on slow or exotic platforms.  It must be a positive
+finite number; anything else fails the import with a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -24,7 +26,6 @@ class Tolerances:
     penrose: float = 1e-8
     solve_residual: float = 1e-8  # ||Ax - b|| <= tol * ||A|| * ||x||
     solve_pivot: float = 1e-12  # singularity threshold, relative to ||A||_inf
-    gelfand_rel: float = 1e-3  # spectral-radius estimate, relative
 
     # model transforms and NI checks
     bilinear_roundtrip: float = 1e-10
@@ -34,6 +35,7 @@ class Tolerances:
 
     # identification
     admm_rel: float = 1e-7  # primal/dual residual stop, relative
+    completion_rel: float = 1e-8  # certificate-completion residual stop, relative
     rank_rel: float = 1e-10  # Gram eigenvalue threshold for full row rank
 
     # reporting
@@ -53,9 +55,12 @@ def _env_scale() -> float:
     if not raw:
         return 1.0
     try:
-        return float(raw)
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"NIKOOPMAN_TOL_SCALE must be a positive finite number, got {raw!r}")
+    return scale
 
 
 TOL = scaled_tolerances(_env_scale())

@@ -130,7 +130,7 @@ def test_criterion_3_closed_loop(scenario):
 def test_criterion_4_scalar_oracle(g):
     boundary = abs(abs(g) - 1.0) < 1e-12  # infimum chased along p -> inf
     prog = identify.NiProgram(
-        G_A=[[g]], G_B=[[0.0]], T=T_SAMPLE, alpha=1.0,
+        G_A=[[g]], G_B=[[0.0]], alpha=1.0,
         max_iters=600000 if boundary else 20000,
         tol=1e-8 if boundary else 1e-7,
     )
@@ -142,7 +142,7 @@ def test_criterion_4_scalar_oracle(g):
         scale = max(1.0, float(np.linalg.norm(sol.P)) * 3.0)
         assert sol.primal_res <= prog.tol * scale
         assert sol.dual_res <= prog.tol * scale
-    radius = matcore.spectral_radius(sol.A_d).value
+    radius = float(np.max(np.abs(np.linalg.eigvals(sol.A_d))))
     assert radius <= 1.0 + 1e-3
     print(
         f"\nACCEPTANCE 4 PASS (g={g:+.1f}): |objective - oracle| = {gap:.2e} <= 1e-3, "

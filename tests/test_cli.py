@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from nikoopman import cli
-from nikoopman.dynamics import TrajectoryData
+from nikoopman import analysis, cli
+from nikoopman.dynamics import MsdParams, TrajectoryData
 
 
 def run(argv):
@@ -132,6 +132,15 @@ def test_linearize_off_origin(tmp_path):
     A = np.asarray(payload["continuous"]["A"])
     assert A[1, 0] == pytest.approx(-2.25)
     assert A[1, 1] == pytest.approx(-1.0)
+
+
+def test_linearize_negative_x0_equals_form(tmp_path):
+    # "--x0 -0.5,0.5" reads as an option to argparse; the "=" form does not
+    out = tmp_path / "lin.json"
+    assert run(["linearize", "--x0=-0.5,0.5", "--T", "0.01", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    want = analysis.linearize_msd(MsdParams(), [-0.5, 0.5]).A
+    assert np.allclose(payload["continuous"]["A"], want)
 
 
 def test_linearize_linear_plant_same_everywhere(tmp_path):

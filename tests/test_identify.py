@@ -160,7 +160,7 @@ def test_reduce_cost_rank_deficient():
 def test_solve_ni_feasible_unconstrained_optimum():
     # (P, Q) = (c I, 0.5 c I) is feasible for c >= 4 alpha / 3, so the
     # program attains zero objective and returns A_d = G_A
-    prog = identify.NiProgram(G_A=0.5 * np.eye(3), G_B=np.zeros((3, 1)), T=0.01)
+    prog = identify.NiProgram(G_A=0.5 * np.eye(3), G_B=np.zeros((3, 1)))
     sol = identify.solve_ni(prog)
     assert sol.converged
     assert sol.objective <= 1e-10
@@ -169,17 +169,17 @@ def test_solve_ni_feasible_unconstrained_optimum():
 
 
 def test_solve_ni_contracts_unstable_target():
-    prog = identify.NiProgram(G_A=2.0 * np.eye(3), G_B=np.zeros((3, 1)), T=0.01, alpha=1.0)
+    prog = identify.NiProgram(G_A=2.0 * np.eye(3), G_B=np.zeros((3, 1)), alpha=1.0)
     sol = identify.solve_ni(prog)
     assert sol.converged
     assert sol.objective > 0.1
-    assert matcore.spectral_radius(sol.A_d).value <= 1.0 + 1e-3
+    assert np.max(np.abs(np.linalg.eigvals(sol.A_d))) <= 1.0 + 1e-3
     assert sol.lmi_min_eig >= -1e-8 * (1.0 + np.linalg.norm(sol.P))
 
 
 @pytest.mark.parametrize("g", [-2.0, 0.0, 0.5, 2.0])
 def test_solve_ni_scalar_matches_grid_oracle(g):
-    prog = identify.NiProgram(G_A=[[g]], G_B=[[0.0]], T=0.01, alpha=1.0)
+    prog = identify.NiProgram(G_A=[[g]], G_B=[[0.0]], alpha=1.0)
     sol = identify.solve_ni(prog)
     oracle_val, _, _ = scalar_ni_grid_minimum(g, alpha=1.0)
     assert sol.converged
@@ -190,7 +190,7 @@ def test_solve_ni_lyapunov_consequence():
     # the Schur block implies A_d P A_d' <= P - alpha I with the solver's P
     rng = np.random.default_rng(11)
     G_A = rng.normal(size=(4, 4)) * 0.4
-    prog = identify.NiProgram(G_A=G_A, G_B=rng.normal(size=(4, 1)), T=0.05, alpha=1e-3)
+    prog = identify.NiProgram(G_A=G_A, G_B=rng.normal(size=(4, 1)), alpha=1e-3)
     sol = identify.solve_ni(prog)
     lyap = matcore.sym_eig(sol.A_d @ sol.P @ sol.A_d.T - sol.P).eigenvalues[0]
     assert lyap <= 1e-6 * max(1.0, np.linalg.norm(sol.P))
@@ -198,7 +198,7 @@ def test_solve_ni_lyapunov_consequence():
 
 def test_solve_ni_validation():
     with pytest.raises(ValueError):
-        identify.NiProgram(G_A=np.eye(2), G_B=np.zeros((2, 1)), T=0.1, alpha=0.0)
+        identify.NiProgram(G_A=np.eye(2), G_B=np.zeros((2, 1)), alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +273,6 @@ def test_identify_unconstrained_has_no_certificate():
     res = identify.identify_unconstrained(traj, identity_dict())
     assert res.ni is None
     assert np.allclose(res.model.A, res.edmd.G_A)
-
-
-def test_residual_trend_decreases():
-    # ADMM combined residual drops by 10x between iteration 10 and the stop
-    traj = dynamics.simulate(
-        MsdParams(), [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), T=0.01, L=1000,
-    )
-    dic = lifting.make_dictionary(traj, n_rbf=6, seed=0)
-    res = identify.identify_ni(traj, dic, identify.IdentifyConfig(alpha=1e-5))
-    h = res.ni.residual_history
-    early = np.linalg.norm(h[9])
-    late = np.linalg.norm(h[-1])
-    assert late <= early / 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ def test_sym_eig_diagonal():
     e = matcore.sym_eig(np.diag([3.0, 1.0]))
     assert np.allclose(e.eigenvalues, [3.0, 1.0])
     assert np.allclose(np.abs(e.eigenvectors), np.eye(2))
-    assert e.converged
 
 
 def test_sym_eig_exchange_matrix():
@@ -198,26 +197,3 @@ def test_csolve_residual_random():
         np.linalg.norm(x), 1.0
     )
 
-
-# ---------------------------------------------------------------------------
-# spectral_radius
-# ---------------------------------------------------------------------------
-
-
-def test_spectral_radius_diagonal():
-    est = matcore.spectral_radius(np.diag([0.5, -0.2]))
-    assert est.converged
-    assert abs(est.value - 0.5) <= 1e-3
-
-
-def test_spectral_radius_scaled_rotation():
-    th = np.pi / 4.0
-    a = 0.9 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    est = matcore.spectral_radius(a)
-    assert abs(est.value - 0.9) <= 1e-3
-
-
-def test_spectral_radius_nilpotent():
-    est = matcore.spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert est.converged
-    assert abs(est.value) <= 1e-3
