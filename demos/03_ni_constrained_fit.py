@@ -38,7 +38,7 @@ ni = result.ni
 print(f"ADMM: {ni.iterations} iterations, converged={ni.converged}, "
       f"objective={ni.objective:.3e}")
 print(f"certificate completion: B-fit relative error "
-      f"{ni.completion['b_fit_rel']:.3f} in {ni.completion['iterations']} iterations")
+      f"{ni.completion['b_fit_rel']:.3f} in {ni.completion['iterations']} Newton steps")
 print(f"constrained spectral radius: "
       f"{np.max(np.abs(np.linalg.eigvals(result.model.A))):.5f}")
 

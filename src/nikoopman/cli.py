@@ -7,11 +7,11 @@ Four file-based stages with deterministic seeds:
     nikoopman linearize  plant Jacobian -> model JSON
     nikoopman validate   models + trajectory -> report JSON and plot CSVs
 
-Exit codes: 0 ok, 2 usage errors, 3 simulation divergence, 4 solver stopped
-before its residual target (output still written, flagged), 5 validation
-could not produce a report.  Every output file embeds the resolved
-configuration.  The environment variable ``NIKOOPMAN_TOL_SCALE`` scales all
-numeric tolerances.
+Exit codes: 0 ok, 2 usage errors, 3 simulation divergence, 4 a solver stage
+(the NI program or the certificate completion) stopped before its target
+(output still written, flagged), 5 validation could not produce a report.
+Every output file embeds the resolved configuration.  The environment
+variable ``NIKOOPMAN_TOL_SCALE`` scales all numeric tolerances.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def cmd_identify(args) -> int:
         }
         if ni.completion is not None:
             solver["completion"] = ni.completion
-        if not ni.converged:
+        if not ni.converged or (ni.completion is not None and not ni.completion["converged"]):
             exit_code = EXIT_SOLVER
     nicore.save_model(args.out, result.model, solver=solver, config=cfg_json)
     flag = "" if exit_code == EXIT_OK else " (solver not converged, flagged)"

@@ -22,7 +22,9 @@ the certificate P inside its feasible set so the equality matches the data.
 The semidefinite program is solved by a dense ADMM: an exact quadratic
 X-update in (P, Q) (assembled once, applied via a cached eigenbasis), a PSD
 cone projection for the splitting variable, and a scaled dual update.
-A_d is recovered as Q P^-1.
+A_d is recovered as Q P^-1.  The strict-mode certificate re-selection is a
+small semidefinite least-squares program in P alone, solved exactly by the
+log-barrier method of :mod:`nikoopman.sdp`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import matcore
+from . import matcore, sdp
 from .dynamics import TrajectoryData
 from .lifting import DataMatrices, LiftingDictionary, build_matrices
 from .nicore import DiscreteLinearModel
@@ -140,7 +143,7 @@ def reduce_cost(sol: EdmdSolution, W: np.ndarray | None, dm: DataMatrices) -> Re
 # ADMM solver
 # ---------------------------------------------------------------------------
 
-RHO_INIT = 1.0  # initial ADMM step size of both solvers
+RHO_INIT = 1.0  # initial ADMM step size
 
 
 def _balance_factor(iterations: int, primal: float, dual: float, rho: float) -> float:
@@ -309,39 +312,20 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
 # ---------------------------------------------------------------------------
 
 
-def _sym_basis_rows(N: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of symmetric N x N matrices, flattened.
-
-    Returns an (N(N+1)/2, N^2) array whose rows are the basis matrices.
-    """
-    rows = []
-    for i in range(N):
-        e = np.zeros((N, N))
-        e[i, i] = 1.0
-        rows.append(e.ravel())
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            e = np.zeros((N, N))
-            e[i, j] = e[j, i] = s
-            rows.append(e.ravel())
-    return np.array(rows)
-
-
-COMPLETION_MAX_ITERS = 60000
-COMPLETION_MARGIN = 0.3  # extra cone margin, as a fraction of alpha
-
-
 @dataclass(frozen=True)
 class CertificateCompletion:
-    """Data-optimal certificate P for a fixed A_d, with the matching B_d."""
+    """Data-optimal certificate P for a fixed A_d, with the matching B_d.
+
+    ``iterations`` counts Newton steps, ``gap`` is the final duality-gap bound
+    of the barrier solve and ``converged`` says whether it reached its target
+    (see :mod:`nikoopman.sdp`).
+    """
 
     P: np.ndarray
     B_d: np.ndarray
     b_fit_rel: float
     iterations: int
-    primal_res: float
-    dual_res: float
+    gap: float
     converged: bool
 
 
@@ -351,94 +335,78 @@ def complete_certificate(
     G_B: np.ndarray,
     T: float,
     alpha: float,
-    P_init: np.ndarray | None = None,
 ) -> CertificateCompletion:
     """Pick the NI certificate that best explains the measured input response.
 
-    For fixed A_d the certificate set {P >= alpha I, A_d P A_d' - P <= -alpha I}
+    For fixed A_d the certificate set {P > alpha I, A_d P A_d' - P < -alpha I}
     is convex and generally not a single point; the input matrix implied by
     the NI equality, B_d(P) = -(1/T)(A_d - I) P (I + A_d')^-1 C_d', is linear
     in P.  This solves
 
         minimize  || B_d(P) - G_B ||_F^2   over the certificate set
 
-    by a two-cone ADMM with an exact quadratic P-update assembled once on the
-    symmetric-matrix basis.  The cones are enforced with an extra relative
-    margin (``COMPLETION_MARGIN`` times alpha) so the returned P satisfies the
-    nominal constraints with slack despite first-order residuals.  The solve
-    stops at relative residual ``TOL.completion_rel`` or after
-    ``COMPLETION_MAX_ITERS`` iterations.
+    exactly, by the log-barrier method of :mod:`nikoopman.sdp` on the
+    coordinates of P in an orthonormal basis of symmetric matrices.  Every
+    iterate is strictly feasible, so the cones sit at alpha itself, with no
+    extra margin.  The start P_0 is the solution of P - A_d P A_d' = 2 alpha I,
+    scaled up to its least-squares multiple when that is larger (c P_0 stays
+    strictly feasible for every c >= 1).  The B_d map has a null space, which
+    the bound tr P < 1e3 tr P_0 closes.  The bound is far from the optimum
+    where the NI equality explains the data (tr P <= 9 against a bound of
+    about 180 on the README data), but it can bind on data that the equality
+    cannot fit (``b_fit_rel`` near 1).  P is not unique (the null space), but
+    B_d and ``b_fit_rel`` are.
+
+    Raises:
+        ValueError: the start P_0 is not strictly feasible, i.e. A_d admits no
+            certificate at this alpha.
     """
     N = A_d.shape[0]
     eye = np.eye(N)
-    alpha_m = alpha * (1.0 + COMPLETION_MARGIN)
     M = -(1.0 / T) * (A_d - eye)
     v = matcore.solve((eye + A_d).T, C_d.T)  # (N, l)
-
-    basis = _sym_basis_rows(N)  # (K, N^2)
-    K = basis.shape[0]
-    mats = basis.reshape(K, N, N)
-    # linear maps on basis coefficients
-    L1 = np.stack([(M @ e @ v).ravel() for e in mats], axis=1)  # B_d map
-    L2 = np.stack([(e - A_d @ e @ A_d.T).ravel() for e in mats], axis=1)  # Lyapunov map
-    g = G_B.ravel()
-
-    def factorize(rho):
-        H = 2.0 * L1.T @ L1 + rho * np.eye(K) + rho * L2.T @ L2
-        return matcore.solve(H, np.eye(K))
-
-    rho = RHO_INIT
-    Hinv = factorize(rho)
-    if P_init is None:
-        P = alpha_m * eye
-    else:
-        lam = matcore.sym_eig(P_init).eigenvalues[-1]
-        P = P_init * max(1.0, alpha_m / max(lam, np.finfo(float).tiny))
-    Z1 = matcore.psd_project(P - alpha_m * eye)
-    Z2 = matcore.psd_project(P - A_d @ P @ A_d.T - alpha_m * eye)
-    U1 = np.zeros((N, N))
-    U2 = np.zeros((N, N))
-
-    primal = dual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, COMPLETION_MAX_ITERS + 1):
-        t1 = (alpha_m * eye + Z1 - U1).ravel()
-        t2 = (alpha_m * eye + Z2 - U2).ravel()
-        p = Hinv @ (2.0 * L1.T @ g + rho * basis @ t1 + rho * L2.T @ t2)
-        P = (p @ basis).reshape(N, N)
-        C1 = P - alpha_m * eye
-        C2 = P - A_d @ P @ A_d.T - alpha_m * eye
-        Z1n = matcore.psd_project(C1 + U1)
-        Z2n = matcore.psd_project(C2 + U2)
-        primal = float(np.sqrt(np.linalg.norm(C1 - Z1n) ** 2 + np.linalg.norm(C2 - Z2n) ** 2))
-        dual = float(
-            rho * np.sqrt(np.linalg.norm(Z1n - Z1) ** 2 + np.linalg.norm(Z2n - Z2) ** 2)
+    P0 = scipy.linalg.solve_discrete_lyapunov(A_d, 2.0 * alpha * eye)
+    P0 = 0.5 * (P0 + P0.T)
+    B0 = M @ P0 @ v
+    P0 *= max(1.0, float(np.sum(B0 * G_B)) / max(float(np.sum(B0 * B0)), np.finfo(float).tiny))
+    if not np.all(np.isfinite(P0)) or min(
+        np.linalg.eigvalsh(P0 - alpha * eye)[0],
+        np.linalg.eigvalsh(P0 - A_d @ P0 @ A_d.T - alpha * eye)[0],
+    ) <= 0.0:
+        raise ValueError(
+            "certificate completion needs a Schur-stable A_d: the Lyapunov start "
+            f"P_0 is not strictly inside the certificate set at alpha={alpha:g}"
         )
-        U1 += C1 - Z1n
-        U2 += C2 - Z2n
-        Z1, Z2 = Z1n, Z2n
-        scale = max(1.0, float(np.linalg.norm(P)))
-        if primal <= TOL.completion_rel * scale and dual <= TOL.completion_rel * scale:
-            converged = True
-            break
-        factor = _balance_factor(iterations, primal, dual, rho)
-        if factor != 1.0:
-            rho *= factor
-            U1 /= factor
-            U2 /= factor
-            Hinv = factorize(rho)
 
+    # orthonormal (Frobenius) basis of symmetric matrices, one flattened row each
+    iu, ju = np.triu_indices(N)
+    K = iu.size
+    basis = np.zeros((K, N, N))
+    weight = np.where(iu == ju, 1.0, np.sqrt(0.5))
+    basis[np.arange(K), iu, ju] = weight
+    basis[np.arange(K), ju, iu] = weight
+    basis = basis.reshape(K, N * N)
+
+    L = np.kron(M, v.T) @ basis.T  # vec(B_d(P)) in basis coordinates
+    lyap_map = np.eye(N * N) - np.kron(A_d, A_d)  # vec(P - A P A') = lyap_map vec(P)
+    cone = -alpha * eye
+    res = sdp.minimize_lsq(
+        L,
+        G_B.ravel(),
+        [(cone, basis), (cone, basis @ lyap_map.T)],
+        (basis @ eye.ravel(), 1e3 * np.trace(P0)),
+        basis @ P0.ravel(),
+    )
+    P = (res.x @ basis).reshape(N, N)
     B_d = M @ P @ v
     rel = float(np.linalg.norm(B_d - G_B) / max(np.linalg.norm(G_B), np.finfo(float).tiny))
     return CertificateCompletion(
         P=P,
         B_d=B_d,
         b_fit_rel=rel,
-        iterations=iterations,
-        primal_res=primal,
-        dual_res=dual,
-        converged=converged,
+        iterations=res.steps,
+        gap=res.gap,
+        converged=res.converged,
     )
 
 
@@ -505,13 +473,13 @@ def identify_ni(
     ni = solve_ni(prog)
     B_d = ni.B_d
     if cfg.strict_b:
-        comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, cfg.alpha, P_init=ni.P)
+        comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, cfg.alpha)
         B_d = comp.B_d
         Q = ni.A_d @ comp.P
         cost = ReducedCost(W=np.eye(ni.A_d.shape[0]) if cfg.W is None else cfg.W,
                            G_A=sol.G_A, G_B=sol.G_B)
         # converged still reports the Problem-2 solve; the completion stage
-        # carries its own residuals in the completion block
+        # carries its own flag in the completion block
         ni = dataclasses.replace(
             ni,
             P=comp.P,
@@ -524,8 +492,7 @@ def identify_ni(
             completion={
                 "b_fit_rel": comp.b_fit_rel,
                 "iterations": comp.iterations,
-                "primal_res": comp.primal_res,
-                "dual_res": comp.dual_res,
+                "gap": comp.gap,
                 "converged": comp.converged,
             },
         )

@@ -34,8 +34,8 @@ class Tolerances:
     lmi_feas: float = 1e-8  # lambda_min of the Schur block at the solution
 
     # identification
-    admm_rel: float = 1e-7  # primal/dual residual stop, relative
-    completion_rel: float = 1e-8  # certificate-completion residual stop, relative
+    admm_rel: float = 1e-7  # solve_ni primal/dual residual stop, relative
+    barrier_gap: float = 1e-9  # barrier-method stop: gap bound m/t over the objective
     rank_rel: float = 1e-10  # Gram eigenvalue threshold for full row rank
 
     # reporting

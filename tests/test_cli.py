@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line frontend."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from nikoopman import analysis, cli
+from nikoopman import analysis, cli, identify
 from nikoopman.dynamics import MsdParams, TrajectoryData
 
 
@@ -110,6 +111,21 @@ def test_identify_not_converged_exit_four(linear_traj_file, tmp_path):
     assert code == 4
     payload = json.loads(out.read_text())  # file still written, flagged
     assert payload["solver"]["converged"] is False
+
+
+def test_identify_completion_not_converged_exit_four(linear_traj_file, tmp_path, monkeypatch):
+    # exit code 4 covers the completion stage; solver.converged stays solve_ni's flag
+    complete = identify.complete_certificate
+    monkeypatch.setattr(identify, "complete_certificate",
+                        lambda *args: dataclasses.replace(complete(*args), converged=False))
+    out = tmp_path / "nc.json"
+    code = run(["identify", "--traj", str(linear_traj_file), "--nrbf", "0",
+                "--alpha", "1e-5", "--strict-b", "--max-iters", "100000",
+                "--out", str(out)])
+    assert code == 4
+    solver = json.loads(out.read_text())["solver"]  # file still written, flagged
+    assert solver["converged"] is True
+    assert solver["completion"]["converged"] is False
 
 
 # ---------------------------------------------------------------------------

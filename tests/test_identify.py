@@ -1,9 +1,12 @@
 """Tests for the least-squares fit and the NI-constrained solver."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import scalar_ni_grid_minimum
+from oracles import completion_barrier_oracle, scalar_ni_grid_minimum
 
 from nikoopman import dynamics, identify, lifting, matcore, nicore
 from nikoopman.dynamics import InputSignal, MsdParams
@@ -206,10 +209,8 @@ def test_solve_ni_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_complete_certificate_fits_true_ni_model():
-    # B_d generated by an NI pair (A_d, P_true) on the cone boundary: the
-    # completion must fit it up to the strictness margin, with the fit error
-    # vanishing proportionally as alpha shrinks
+def true_ni_completion_case():
+    """(A_d, C_d, B_d, T) of a damped oscillator whose B_d comes from P = I."""
     T = 0.1
     A = np.array([[0.0, 1.0], [-1.0, -1.0]])
     B = np.array([[0.0], [1.0]])
@@ -218,15 +219,63 @@ def test_complete_certificate_fits_true_ni_model():
     P_true = np.eye(2)  # continuous certificate of the damped oscillator
     eye = np.eye(2)
     b_true = -(1.0 / T) * (d.A - eye) @ P_true @ np.linalg.solve((eye + d.A).T, d.C.T)
+    return d.A, d.C, b_true, T
+
+
+def readme_completion_case():
+    """(A_d, C_d, G_B, T, alpha) of the README strict fit on data from x0 = (0.6, 0)."""
+    data = json.loads((Path(__file__).parent / "data" / "completion_x0_0.6.json").read_text())
+    return (np.asarray(data["A_d"]), np.asarray(data["C_d"]), np.asarray(data["G_B"]),
+            data["T"], data["alpha"])
+
+
+def test_complete_certificate_fits_true_ni_model():
+    # B_d generated by an NI pair (A_d, P_true) on the cone boundary: the
+    # completion must fit it up to the strictness margin, with the fit error
+    # vanishing proportionally as alpha shrinks
+    A_d, C_d, b_true, T = true_ni_completion_case()
     rels = {}
     for alpha in (1e-4, 1e-6):
-        comp = identify.complete_certificate(d.A, d.C, b_true, T, alpha)
+        comp = identify.complete_certificate(A_d, C_d, b_true, T, alpha)
         rels[alpha] = comp.b_fit_rel
         assert matcore.sym_eig(comp.P).eigenvalues[-1] >= alpha * 0.99
-        lyap = matcore.sym_eig(d.A @ comp.P @ d.A.T - comp.P).eigenvalues[0]
+        lyap = matcore.sym_eig(A_d @ comp.P @ A_d.T - comp.P).eigenvalues[0]
         assert lyap <= -alpha * 0.99
     assert rels[1e-4] <= 5e-3
     assert rels[1e-6] <= max(rels[1e-4] / 20.0, 2e-5)
+
+
+def test_complete_certificate_strictly_feasible_on_readme_data():
+    # on this input a first-order completion stopped at its iteration cap with
+    # the Schur block at lambda_min -1.2e-6; the barrier iterate is interior
+    A_d, C_d, G_B, T, alpha = readme_completion_case()
+    comp = identify.complete_certificate(A_d, C_d, G_B, T, alpha)
+    assert comp.converged
+    P, eye = comp.P, np.eye(A_d.shape[0])
+    Q = A_d @ P
+    block = np.block([[P - alpha * eye, Q], [Q.T, P]])
+    assert np.linalg.eigvalsh(block)[0] >= -1e-8  # the LMI bound of the benchmark checks
+    assert np.linalg.eigvalsh(P - alpha * eye)[0] > 0.0
+    assert np.linalg.eigvalsh(P - A_d @ P @ A_d.T - alpha * eye)[0] > 0.0
+
+
+@pytest.mark.parametrize("case", ["readme", "true_ni"])
+def test_complete_certificate_matches_oracle(case):
+    # P is not unique (the B_d map has a null space); B_d and the fit error are
+    if case == "readme":
+        args = readme_completion_case()
+    else:
+        args = (*true_ni_completion_case(), 1e-4)
+    comp = identify.complete_certificate(*args)
+    B_oracle, rel_oracle = completion_barrier_oracle(*args)
+    assert abs(comp.b_fit_rel - rel_oracle) <= 1e-3 * rel_oracle
+    assert np.linalg.norm(comp.B_d - B_oracle) <= 1e-3 * np.linalg.norm(B_oracle)
+
+
+def test_complete_certificate_rejects_unstable_dynamics():
+    A_d, C_d, b_true, T = true_ni_completion_case()
+    with pytest.raises(ValueError, match="Schur-stable"):
+        identify.complete_certificate(1.01 * np.eye(2), C_d, b_true, T, 1e-4)
 
 
 # ---------------------------------------------------------------------------
