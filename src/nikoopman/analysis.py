@@ -74,20 +74,25 @@ class StepResponse:
 def step_response(c: ContinuousLinearModel, T: float, steps: int) -> StepResponse:
     """Unit-step output of the bilinear-discretized model.
 
-    Magnitudes beyond 1e6 flag divergence (and stop the iteration).
+    The constant input terms B u and D u are formed once; each step then costs
+    two matrix-vector products.  An output entry beyond 1e6 in magnitude, or
+    not finite, flags divergence and stops the iteration; ``outputs`` then
+    ends at that step.
     """
     d = nicore.to_discrete(c, T)
     u = np.ones((d.B.shape[1],))
+    Bu = d.B @ u
+    Du = d.D @ u
     x = np.zeros(d.order)
     out = np.zeros((steps + 1, d.C.shape[0]))
     diverged = False
     for j in range(steps + 1):
-        out[j] = d.C @ x + d.D @ u
-        if np.any(np.abs(out[j]) > 1e6) or not np.all(np.isfinite(out[j])):
+        out[j] = y = d.C @ x + Du
+        if not np.abs(y).max(initial=0.0) <= 1e6:  # also true for NaN
             diverged = True
             out = out[: j + 1]
             break
-        x = d.A @ x + d.B @ u
+        x = d.A @ x + Bu
     return StepResponse(times=T * np.arange(out.shape[0]), outputs=out, diverged=diverged)
 
 

@@ -45,6 +45,20 @@ def _parse_floats(text: str, expected: int | None = None, name: str = "value") -
     return values
 
 
+def _parse_grid(text: str) -> np.ndarray:
+    """Frequencies of ``--grid wmin,wmax,npts``: positive finite bounds, npts >= 1 whole."""
+    w_min, w_max, n_pts = _parse_floats(text, 3, "--grid")
+    if not all(np.isfinite(w) and w > 0 for w in (w_min, w_max)):
+        raise argparse.ArgumentTypeError(
+            f"--grid bounds must be positive and finite, got {text!r}"
+        )
+    if not (np.isfinite(n_pts) and n_pts >= 1 and n_pts.is_integer()):
+        raise argparse.ArgumentTypeError(
+            f"--grid point count must be a positive integer, got {text!r}"
+        )
+    return nicore.default_frequency_grid(w_min, w_max, int(n_pts))
+
+
 def _config_json(args: argparse.Namespace, keys: list[str]) -> dict:
     return {k: getattr(args, k) for k in keys}
 
@@ -170,6 +184,7 @@ def _suffixed(base: list[str], names: list[str]) -> list[str]:
 
 
 def cmd_validate(args) -> int:
+    omegas = _parse_grid(args.grid)  # a malformed grid exits 2 before anything is written
     traj_path = Path(args.traj)
     model_paths = [Path(p) for p in args.models.split(",") if p]
     missing = [str(p) for p in [traj_path, *model_paths] if not p.exists()]
@@ -192,8 +207,6 @@ def cmd_validate(args) -> int:
         if args.ppf is not None:
             K, zeta, omega = _parse_floats(args.ppf, 3, "--ppf")
             ctrl = nicore.PpfController(K=K, zeta=zeta, omega=omega)
-        w_min, w_max, n_pts = _parse_floats(args.grid, 3, "--grid")
-        omegas = nicore.default_frequency_grid(w_min, w_max, int(n_pts))
         cfg_json = _config_json(args, ["models", "traj", "ppf", "grid", "steps"])
         report = analysis.compare_models(
             reference, candidates, ctrl=ctrl, omegas=omegas, provenance=cfg_json
@@ -312,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="comma-separated model JSON paths")
     p.add_argument("--traj", required=True)
     p.add_argument("--ppf", default=None, help="K,zeta,omega of the PPF controller")
-    p.add_argument("--grid", default="1e-2,1e2,200", help="wmin,wmax,npts frequency grid")
+    p.add_argument("--grid", default="1e-2,1e2,200",
+                   help="wmin,wmax,npts log-spaced frequency grid in rad/s; "
+                   "bounds positive and finite, npts a positive integer")
     p.add_argument("--steps", type=int, default=2000, help="closed-loop step-response length")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(fn=cmd_validate)

@@ -235,6 +235,8 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     W = eye if prog.W is None else prog.W
     V = W.T @ W
 
+    VG = V @ G_A
+
     def factorize(rho):
         # cached pieces of the exact X-update for the current step size
         F = matcore.solve(V + rho * eye, eye)  # (V + rho I)^-1
@@ -243,14 +245,16 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         H = rho * G_A.T @ Vt @ G_A
         eig = matcore.sym_eig(0.5 * (H + H.T))
         denom = eig.eigenvalues[:, None] + eig.eigenvalues[None, :] + 2.0 * rho
-        return F, Vt, eig.eigenvectors, denom
+        return F, G_A.T @ Vt, eig.eigenvectors, denom
 
-    F, Vt, UH, denom = factorize(rho)
+    F, GtV, UH, denom = factorize(rho)
 
     P = eye.copy()
     Q = G_A.copy()
     Z = matcore.psd_project(_lmi_block(P, Q, alpha))
     U = np.zeros((2 * N, 2 * N))
+    alpha_eye = alpha * eye
+    SX = np.empty((2 * N, 2 * N))  # the LMI block S(X), refilled every iteration
 
     primal = dual = np.inf
     iterations = 0
@@ -258,17 +262,21 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     for iterations in range(1, prog.max_iters + 1):
         M = Z - U
         M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
-        cross = G_A.T @ Vt @ M12
-        R = rho * (alpha * eye + M11 + M22 + cross + cross.T)
+        cross = GtV @ M12
+        R = rho * (alpha_eye + M11 + M22 + cross + cross.T)
         P = UH @ ((UH.T @ R @ UH) / denom) @ UH.T
         P = 0.5 * (P + P.T)
-        Q = F @ (V @ G_A @ P + rho * M12)
+        Q = F @ (VG @ P + rho * M12)
 
-        SX = _lmi_block(P, Q, alpha)
+        np.subtract(P, alpha_eye, out=SX[:N, :N])
+        SX[:N, N:] = Q
+        SX[N:, :N] = Q.T
+        SX[N:, N:] = P
         Z_new = matcore.psd_project(SX + U)
-        primal = float(np.linalg.norm(SX - Z_new))
+        step = SX - Z_new
+        primal = float(np.linalg.norm(step))
         dual = float(rho * np.linalg.norm(Z_new - Z))
-        U += SX - Z_new
+        U += step
         Z = Z_new
         scale = max(1.0, float(np.linalg.norm(SX)), float(np.linalg.norm(Z)))
         if primal <= prog.tol * scale and dual <= prog.tol * scale:
@@ -278,7 +286,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         if factor != 1.0:
             rho *= factor
             U /= factor
-            F, Vt, UH, denom = factorize(rho)
+            F, GtV, UH, denom = factorize(rho)
 
     # post-hoc feasibility: shifting P by delta I moves the whole block by
     # exactly delta I, so one shift restores lambda_min >= 0
@@ -318,7 +326,9 @@ class CertificateCompletion:
 
     ``iterations`` counts Newton steps, ``gap`` is the final duality-gap bound
     of the barrier solve and ``converged`` says whether it reached its target
-    (see :mod:`nikoopman.sdp`).
+    (see :mod:`nikoopman.sdp`).  ``bound_active`` says that tr P ended on the
+    trace bound R (within ``TOL.bound_active_rel`` * R): P is then the optimum
+    of the bounded program, and a larger R could fit G_B better.
     """
 
     P: np.ndarray
@@ -327,6 +337,7 @@ class CertificateCompletion:
     iterations: int
     gap: float
     converged: bool
+    bound_active: bool
 
 
 def complete_certificate(
@@ -354,8 +365,8 @@ def complete_certificate(
     the bound tr P < 1e3 tr P_0 closes.  The bound is far from the optimum
     where the NI equality explains the data (tr P <= 9 against a bound of
     about 180 on the README data), but it can bind on data that the equality
-    cannot fit (``b_fit_rel`` near 1).  P is not unique (the null space), but
-    B_d and ``b_fit_rel`` are.
+    cannot fit well, and ``bound_active`` then says so.  P is not unique (the
+    null space), but B_d and ``b_fit_rel`` are.
 
     Raises:
         ValueError: the start P_0 is not strictly feasible, i.e. A_d admits no
@@ -390,11 +401,12 @@ def complete_certificate(
     L = np.kron(M, v.T) @ basis.T  # vec(B_d(P)) in basis coordinates
     lyap_map = np.eye(N * N) - np.kron(A_d, A_d)  # vec(P - A P A') = lyap_map vec(P)
     cone = -alpha * eye
+    R = 1e3 * np.trace(P0)
     res = sdp.minimize_lsq(
         L,
         G_B.ravel(),
         [(cone, basis), (cone, basis @ lyap_map.T)],
-        (basis @ eye.ravel(), 1e3 * np.trace(P0)),
+        (basis @ eye.ravel(), R),
         basis @ P0.ravel(),
     )
     P = (res.x @ basis).reshape(N, N)
@@ -407,6 +419,7 @@ def complete_certificate(
         iterations=res.steps,
         gap=res.gap,
         converged=res.converged,
+        bound_active=bool(R - np.trace(P) <= TOL.bound_active_rel * R),
     )
 
 
@@ -494,6 +507,7 @@ def identify_ni(
                 "iterations": comp.iterations,
                 "gap": comp.gap,
                 "converged": comp.converged,
+                "bound_active": comp.bound_active,
             },
         )
     model = DiscreteLinearModel(

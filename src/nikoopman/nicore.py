@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import matcore
 from .lifting import LiftingDictionary
@@ -202,11 +203,22 @@ def default_frequency_grid(
     return np.logspace(np.log10(w_min), np.log10(w_max), n_points)
 
 
+FREQ_CHUNK = 32  # frequencies per block of (jw I - A) and of C X + D; bounds their memory
+
+
 def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
     """G(jw) = C (jw I - A)^-1 B + D on a grid; shape (len(omegas), l, m).
 
+    The systems (jw I - A) are built in blocks of at most ``FREQ_CHUNK``
+    frequencies and each is solved by LAPACK getrf/getrs directly, without the
+    per-call checks of the scipy wrappers; C X + D is formed for each block in
+    one stacked product.  A frequency is on a pole when the smallest LU pivot
+    is below ``TOL.solve_pivot * ||jw I - A||_inf``, the test of
+    :func:`matcore.csolve`.
+
     Raises:
-        PoleOnGridError: some jw is an eigenvalue of A.
+        PoleOnGridError: some jw is an eigenvalue of A (the first such w in
+            grid order).
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     n = c.order
@@ -215,12 +227,22 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
         out[:] = c.D
         return out
     eye = np.eye(n)
-    for k, w in enumerate(omegas):
-        try:
-            x = matcore.csolve(1j * w * eye - c.A, c.B.astype(complex))
-        except SingularMatrixError as exc:
-            raise PoleOnGridError(float(w)) from exc
-        out[k] = c.C @ x + c.D
+    B = c.B.astype(complex)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
+    X = np.empty((FREQ_CHUNK, n, B.shape[1]), dtype=complex)
+    for k0 in range(0, omegas.size, FREQ_CHUNK):
+        w = omegas[k0 : k0 + FREQ_CHUNK]
+        M = (1j * w)[:, None, None] * eye - c.A
+        # csolve's pivot threshold, from ||jw I - A||_inf before factorizing
+        pivot_min = TOL.solve_pivot * np.maximum(
+            np.linalg.norm(M, np.inf, axis=(1, 2)), np.finfo(float).tiny
+        )
+        for k in range(w.size):
+            lu, piv, _ = getrf(M[k], overwrite_a=True)
+            if np.abs(lu.diagonal()).min() < pivot_min[k]:
+                raise PoleOnGridError(float(w[k]))
+            X[k], _ = getrs(lu, piv, B)
+        out[k0 : k0 + w.size] = c.C @ X[: w.size] + c.D
     return out
 
 
@@ -257,16 +279,13 @@ def ni_frequency_check(
         omegas = default_frequency_grid()
     omegas = np.asarray(omegas, dtype=float)
     omegas = omegas[omegas > 0]
+    if omegas.size == 0:
+        raise ValueError("NI check needs a grid with at least one positive frequency")
     G = freq_response(c, omegas)
-    worst = np.inf
-    worst_w = float(omegas[0])
-    for k, w in enumerate(omegas):
-        h = 1j * (G[k] - G[k].conj().T)
-        # h is Hermitian; take the real symmetric eigenvalues
-        eig_min = float(np.min(np.linalg.eigvalsh(h)))
-        if eig_min < worst:
-            worst = eig_min
-            worst_w = float(w)
+    # j(G - G*) is Hermitian; take its real eigenvalues, one stacked call
+    eig_min = np.linalg.eigvalsh(1j * (G - G.conj().transpose(0, 2, 1))).min(axis=1)
+    k = int(np.argmin(eig_min))
+    worst, worst_w = float(eig_min[k]), float(omegas[k])
     return FrequencyNiCheck(min_eig_over_grid=worst, worst_omega=worst_w, is_ni=worst >= -tol)
 
 

@@ -36,6 +36,7 @@ class Tolerances:
     # identification
     admm_rel: float = 1e-7  # solve_ni primal/dual residual stop, relative
     barrier_gap: float = 1e-9  # barrier-method stop: gap bound m/t over the objective
+    bound_active_rel: float = 1e-3  # completion trace bound active: R - tr P <= tol * R
     rank_rel: float = 1e-10  # Gram eigenvalue threshold for full row rank
 
     # reporting

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from nikoopman import matcore, nicore
+from nikoopman.dynamics import NonFiniteTrajectoryError
+
 
 def scalar_ni_grid_minimum(g, alpha=1.0, w=1.0, p_max=1e3, n_p=400, n_q=401, refinements=8):
     """Dense grid-search minimum of the scalar NI program.
@@ -122,3 +125,71 @@ def completion_barrier_oracle(A, C, G_B, T, alpha, mu=10.0, gap_rel=1e-6):
         t *= mu
     B = np.einsum("k,kij->ij", x, Bmaps)
     return B, float(np.linalg.norm(B - G_B) / np.linalg.norm(G_B))
+
+
+# ---------------------------------------------------------------------------
+# Reference loops of the validation path: one frequency, one step or one
+# small-array RK4 stage at a time.  The package batches or scalarizes these;
+# its results must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def freq_response_per_frequency(c, omegas):
+    """G(jw) = C (jw I - A)^-1 B + D by one pivot-checked complex LU per w."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    n = c.order
+    out = np.empty((omegas.size, c.C.shape[0], c.B.shape[1]), dtype=complex)
+    if n == 0 or not np.any(c.C) or not np.any(c.B):
+        out[:] = c.D
+        return out
+    eye = np.eye(n)
+    for k, w in enumerate(omegas):
+        try:
+            x = matcore.csolve(1j * w * eye - c.A, c.B.astype(complex))
+        except matcore.SingularMatrixError as exc:
+            raise nicore.PoleOnGridError(float(w)) from exc
+        out[k] = c.C @ x + c.D
+    return out
+
+
+def step_response_per_step(c, T, steps):
+    """(outputs, diverged) of the unit step, forming B u and D u every step."""
+    d = nicore.to_discrete(c, T)
+    u = np.ones((d.B.shape[1],))
+    x = np.zeros(d.order)
+    out = np.zeros((steps + 1, d.C.shape[0]))
+    diverged = False
+    for j in range(steps + 1):
+        out[j] = d.C @ x + d.D @ u
+        if np.any(np.abs(out[j]) > 1e6) or not np.all(np.isfinite(out[j])):
+            diverged = True
+            out = out[: j + 1]
+            break
+        x = d.A @ x + d.B @ u
+    return out, diverged
+
+
+def simulate_array_rk4(params, x0, u_table, T, max_step=0.01):
+    """Mass-spring-damper states by classical RK4 on length-2 arrays.
+
+    Raises NonFiniteTrajectoryError at the first sample whose state is not
+    finite.
+    """
+    substeps = max(1, int(np.ceil(T / min(T, max_step) - 1e-12)))
+    h = T / substeps
+    rhs = params.rhs
+    x = np.asarray(x0, dtype=float).copy()
+    states = np.empty((u_table.shape[0] + 1, x.size))
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, u in enumerate(u_table):
+            for _ in range(substeps):
+                k1 = rhs(x, u)
+                k2 = rhs(x + 0.5 * h * k1, u)
+                k3 = rhs(x + 0.5 * h * k2, u)
+                k4 = rhs(x + h * k3, u)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteTrajectoryError(j + 1)
+            states[j + 1] = x
+    return states

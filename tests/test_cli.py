@@ -102,6 +102,7 @@ def test_identify_ni_writes_certificate(linear_traj_file, tmp_path):
     lyap = np.linalg.eigvalsh(A @ P @ A.T - P).max()
     assert lyap <= 1e-6
     assert solver["completion"]["b_fit_rel"] < 0.5
+    assert solver["completion"]["bound_active"] is False
 
 
 def test_identify_not_converged_exit_four(linear_traj_file, tmp_path):
@@ -224,6 +225,29 @@ def test_validate_multi_model_report(linear_traj_file, tmp_path):
     assert all("closed_loop" in m for m in report["models"])
     header = (out_dir / "bode.csv").read_text().splitlines()[0]
     assert header == "omega,mag_db_lin0,phase_deg_lin0,mag_db_lin5,phase_deg_lin5"
+
+
+@pytest.mark.parametrize("grid", ["1e-2,1e2,0", "1e-2,1e2,2.5", "0,1,10"],
+                         ids=["no-points", "fractional-count", "zero-bound"])
+def test_validate_malformed_grid_exit_two(linear_traj_file, tmp_path, capsys, grid):
+    lin = tmp_path / "lin.json"
+    assert run(["linearize", "--x0", "0,0", "--T", "0.01", "--out", str(lin)]) == 0
+    out_dir = tmp_path / "val"
+    code = run(["validate", "--models", str(lin), "--traj", str(linear_traj_file),
+                "--grid", grid, "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out_dir.exists()  # nothing written
+
+
+def test_validate_grid_on_pole_exit_two(linear_traj_file, tmp_path, capsys):
+    # the origin linearization has poles at +/- j, and the 5-point grid holds w = 1
+    lin0 = tmp_path / "lin0.json"
+    assert run(["linearize", "--x0", "0,0", "--T", "0.01", "--out", str(lin0)]) == 0
+    code = run(["validate", "--models", str(lin0), "--traj", str(linear_traj_file),
+                "--grid", "1e-2,1e2,5", "--out-dir", str(tmp_path / "val")])
+    assert code == 2
+    assert "omega = 1 rad/s" in capsys.readouterr().err
 
 
 def test_full_pipeline_byte_determinism(tmp_path):

@@ -272,6 +272,27 @@ def test_complete_certificate_matches_oracle(case):
     assert np.linalg.norm(comp.B_d - B_oracle) <= 1e-3 * np.linalg.norm(B_oracle)
 
 
+def test_complete_certificate_bound_inactive_on_readme_data():
+    comp = identify.complete_certificate(*readme_completion_case())
+    assert comp.converged
+    assert not comp.bound_active
+
+
+def test_complete_certificate_reports_active_trace_bound():
+    # a random stable 5-state system: the NI equality cannot explain this G_B
+    # and the fit keeps improving as tr P grows, so the solve ends on the trace
+    # bound; the oracle, whose bound is larger here, fits better
+    rng = np.random.default_rng(10)
+    A_d = rng.standard_normal((5, 5))
+    A_d *= rng.uniform(0.5, 0.98) / np.max(np.abs(np.linalg.eigvals(A_d)))
+    C_d, G_B = rng.standard_normal((1, 5)), rng.standard_normal((5, 1))
+    comp = identify.complete_certificate(A_d, C_d, G_B, 0.01, 1e-6)
+    assert comp.converged
+    assert comp.bound_active
+    _, rel_oracle = completion_barrier_oracle(A_d, C_d, G_B, 0.01, 1e-6)
+    assert rel_oracle < 0.5 * comp.b_fit_rel
+
+
 def test_complete_certificate_rejects_unstable_dynamics():
     A_d, C_d, b_true, T = true_ni_completion_case()
     with pytest.raises(ValueError, match="Schur-stable"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nikoopman import matcore, nicore
+from nikoopman import analysis, matcore, nicore
+from nikoopman.dynamics import MsdParams
 from nikoopman.nicore import (
     ContinuousLinearModel,
     DiscreteLinearModel,
@@ -154,6 +155,17 @@ def test_freq_response_pole_on_grid():
         nicore.freq_response(c, [0.0])
 
 
+def test_freq_response_pole_on_long_grid():
+    # the origin linearization has poles at +/- j; put w = 1 deep into a
+    # 2,000-point grid, far past the first block of frequencies
+    lin0 = analysis.linearize_msd(MsdParams(), [0.0, 0.0])
+    grid = np.sort(np.append(nicore.default_frequency_grid(1e-2, 1e2, 1999), 1.0))
+    assert grid.size == 2000 and np.flatnonzero(grid == 1.0)[0] > nicore.FREQ_CHUNK
+    with pytest.raises(nicore.PoleOnGridError) as exc:
+        nicore.freq_response(lin0, grid)
+    assert exc.value.omega == 1.0
+
+
 def test_dc_gain_of_oscillator():
     c = damped_oscillator(k1=4.0)
     assert nicore.dc_gain(c)[0, 0] == pytest.approx(0.25)
@@ -194,6 +206,12 @@ def test_ni_check_constant_boundary():
     chk = nicore.ni_frequency_check(c)
     assert chk.is_ni
     assert abs(chk.min_eig_over_grid) <= 1e-14
+
+
+def test_ni_check_rejects_grid_without_positive_frequency():
+    c = damped_oscillator(k1=1.0, b0=1.0)
+    with pytest.raises(ValueError, match="positive frequency"):
+        nicore.ni_frequency_check(c, [0.0, -1.0])
 
 
 def test_ni_check_requires_square():
