@@ -71,28 +71,39 @@ class StepResponse:
     diverged: bool
 
 
+STEP_BLOCK = 256  # steps of step_response between two divergence tests
+
+
 def step_response(c: ContinuousLinearModel, T: float, steps: int) -> StepResponse:
     """Unit-step output of the bilinear-discretized model.
 
     The constant input terms B u and D u are formed once; each step then costs
     two matrix-vector products.  An output entry beyond 1e6 in magnitude, or
-    not finite, flags divergence and stops the iteration; ``outputs`` then
-    ends at that step.
+    not finite, flags divergence; ``outputs`` then ends at that step.  The
+    test runs once per ``STEP_BLOCK`` steps, on the block just computed.
     """
     d = nicore.to_discrete(c, T)
     u = np.ones((d.B.shape[1],))
     Bu = d.B @ u
     Du = d.D @ u
-    x = np.zeros(d.order)
-    out = np.zeros((steps + 1, d.C.shape[0]))
+    X = np.zeros((STEP_BLOCK + 1, d.order))  # a block's states and the next block's first
+    out = np.empty((steps + 1, d.C.shape[0]))
     diverged = False
-    for j in range(steps + 1):
-        out[j] = y = d.C @ x + Du
-        if not np.abs(y).max(initial=0.0) <= 1e6:  # also true for NaN
-            diverged = True
-            out = out[: j + 1]
-            break
-        x = d.A @ x + Bu
+    # steps after a divergence inside a block may overflow; they are cut off
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, steps + 1, STEP_BLOCK):
+            block = out[j0 : j0 + STEP_BLOCK]
+            X[0] = X[-1]
+            for x, nxt, y in zip(X, X[1:], block):
+                np.matmul(d.C, x, out=y)
+                np.matmul(d.A, x, out=nxt)
+                nxt += Bu
+            block += Du
+            bad = ~(np.abs(block).max(axis=1, initial=0.0) <= 1e6)  # also true for NaN
+            if bad.any():
+                diverged = True
+                out = out[: j0 + int(bad.argmax()) + 1]
+                break
     return StepResponse(times=T * np.arange(out.shape[0]), outputs=out, diverged=diverged)
 
 
@@ -109,15 +120,22 @@ def zoh_discretize(c: ContinuousLinearModel, T: float) -> tuple[np.ndarray, np.n
 def simulate_continuous(
     c: ContinuousLinearModel, x0, inputs: np.ndarray, T: float
 ) -> np.ndarray:
-    """States of the continuous model under held inputs, exactly discretized."""
+    """States of the continuous model under held inputs, exactly discretized.
+
+    The input terms Bd u of every step are written in place by one product
+    before the recursion adds Ad x; with one input each entry is a single
+    product, so the states equal those of the step-by-step recursion bit for
+    bit.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != c.B.shape[1]:
         inputs = inputs.reshape(-1, c.B.shape[1])
     Ad, Bd = zoh_discretize(c, T)
     states = np.empty((inputs.shape[0] + 1, c.order))
     states[0] = np.asarray(x0, dtype=float)
-    for j in range(inputs.shape[0]):
-        states[j + 1] = Ad @ states[j] + Bd @ inputs[j]
+    np.matmul(inputs, Bd.T, out=states[1:])
+    for x, nxt in zip(states, states[1:]):
+        nxt += Ad @ x
     return states
 
 
@@ -167,6 +185,7 @@ class ModelReport:
     dc_gain: float | None = None
     closed_loop: ClosedLoopVerdict | None = None
     predicted_states: np.ndarray | None = field(default=None, repr=False)
+    response: np.ndarray | None = field(default=None, repr=False)  # open-loop G(jw), not saved
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -229,7 +248,11 @@ def evaluate_model(
     ctrl: PpfController | None,
     omegas: np.ndarray | None = None,
 ) -> ModelReport:
-    """Predictions, NI evidence and closed-loop verdict for one candidate."""
+    """Predictions, NI evidence and closed-loop verdict for one candidate.
+
+    The open-loop response on the positive frequencies of ``omegas`` is
+    computed once, for the NI check, and kept in the report's ``response``.
+    """
     x0 = reference.states[0]
     if entry.discrete is not None:
         sim = simulate_lifted(entry.discrete, x0, reference.inputs)
@@ -241,7 +264,11 @@ def evaluate_model(
     mse_states = mse(reference.states, states_pred)
     mse_outputs = mse(reference.outputs, outputs_pred)
     cont = entry.to_continuous()
-    phase = nicore.ni_frequency_check(cont, omegas)
+    if omegas is None:
+        omegas = nicore.default_frequency_grid()
+    omegas = np.asarray(omegas, dtype=float)
+    response = nicore.freq_response(cont, omegas[omegas > 0])
+    phase = nicore.ni_frequency_check(cont, omegas, response=response)
     gain = float(nicore.dc_gain(cont)[0, 0])
     lmi = None
     if entry.P is not None and entry.discrete is not None:
@@ -256,6 +283,7 @@ def evaluate_model(
         dc_gain=gain,
         closed_loop=closed,
         predicted_states=states_pred,
+        response=response,
     )
 
 

@@ -166,11 +166,9 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        dynamics.write_csv(fh, header, columns)
 
 
 def _suffixed(base: list[str], names: list[str]) -> list[str]:
@@ -184,7 +182,12 @@ def _suffixed(base: list[str], names: list[str]) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    omegas = _parse_grid(args.grid)  # a malformed grid exits 2 before anything is written
+    # a malformed --grid or --ppf exits 2 before anything is written
+    omegas = _parse_grid(args.grid)
+    ctrl = None
+    if args.ppf is not None:
+        K, zeta, omega = _parse_floats(args.ppf, 3, "--ppf")
+        ctrl = nicore.PpfController(K=K, zeta=zeta, omega=omega)
     traj_path = Path(args.traj)
     model_paths = [Path(p) for p in args.models.split(",") if p]
     missing = [str(p) for p in [traj_path, *model_paths] if not p.exists()]
@@ -203,10 +206,6 @@ def cmd_validate(args) -> int:
             candidates.append(analysis.CandidateModel(
                 name=p.stem, discrete=mdl if cont is None else None, continuous=cont, P=P
             ))
-        ctrl = None
-        if args.ppf is not None:
-            K, zeta, omega = _parse_floats(args.ppf, 3, "--ppf")
-            ctrl = nicore.PpfController(K=K, zeta=zeta, omega=omega)
         cfg_json = _config_json(args, ["models", "traj", "ppf", "grid", "steps"])
         report = analysis.compare_models(
             reference, candidates, ctrl=ctrl, omegas=omegas, provenance=cfg_json
@@ -220,62 +219,37 @@ def cmd_validate(args) -> int:
         fh.write("\n")
 
     names = [c.name for c in candidates]
-    fmt = "{:.12e}".format
 
-    # open-loop Bode and time-domain comparison per model
-    bode_cols: list[list[tuple[float, float, float]]] = []
-    nyq_cols: list[list[tuple[float, float, float]]] = []
-    for cand in candidates:
-        cont = cand.to_continuous()
-        bode_cols.append(nicore.bode_rows(cont, omegas))
-        if ctrl is None:
-            nyq_cols.append(nicore.nyquist_rows(cont, omegas))
-        else:
-            fb = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl))
-            nyq_cols.append(nicore.nyquist_rows(fb.model, omegas))
-    rows = []
-    for k, w in enumerate(omegas):
-        row = [fmt(w)]
-        for col in bode_cols:
-            row += [fmt(col[k][1]), fmt(col[k][2])]
-        rows.append(row)
-    _write_csv(out_dir / "bode.csv", _suffixed(["omega", "mag_db", "phase_deg"], names), rows)
-    rows = []
-    for k, w in enumerate(omegas):
-        row = [fmt(w)]
-        for col in nyq_cols:
-            row += [fmt(col[k][1]), fmt(col[k][2])]
-        rows.append(row)
-    _write_csv(out_dir / "nyquist.csv", _suffixed(["omega", "re", "im"], names), rows)
-
-    # predicted output time series next to the reference
-    header = ["t", "y_true"] + [f"y_{n}" for n in names]
-    rows = []
-    times = reference.times
-    preds = []
+    # open-loop Bode (the response the NI check computed, unless the model
+    # failed before it) and the open- or closed-loop Nyquist columns
+    bode, nyquist = [omegas], [omegas]
     for cand, rep in zip(candidates, report.models):
-        preds.append(rep.predicted_states[:, 0] if rep.predicted_states is not None else None)
-    for j, t in enumerate(times):
-        row = [fmt(t), fmt(reference.outputs[j, 0])]
-        for p in preds:
-            row.append(fmt(p[j]) if p is not None else "")
-        rows.append(row)
-    _write_csv(out_dir / "timeseries.csv", header, rows)
+        cont = cand.to_continuous()
+        G = rep.response if rep.response is not None else nicore.freq_response(cont, omegas)
+        G = G[:, 0, 0]
+        bode += nicore.bode_columns(G)
+        if ctrl is not None:
+            fb = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl))
+            G = nicore.freq_response(fb.model, omegas)[:, 0, 0]
+        nyquist += [G.real, G.imag]
+    _write_csv(out_dir / "bode.csv", _suffixed(["omega", "mag_db", "phase_deg"], names), bode)
+    _write_csv(out_dir / "nyquist.csv", _suffixed(["omega", "re", "im"], names), nyquist)
 
-    # closed-loop step responses
+    # predicted output time series next to the reference; a failed model's
+    # cells stay empty
+    preds = [rep.predicted_states[:, 0] if rep.predicted_states is not None else ()
+             for rep in report.models]
+    _write_csv(out_dir / "timeseries.csv", ["t", "y_true"] + [f"y_{n}" for n in names],
+               [reference.times, reference.outputs[:, 0], *preds])
+
+    # closed-loop step responses; a diverged one ends early with empty cells
     if ctrl is not None:
         steps = int(args.steps)
-        responses = []
+        columns = [reference.T * np.arange(steps + 1)]
         for cand in candidates:
             fb = nicore.positive_feedback(cand.to_continuous(), nicore.ppf_realize(ctrl))
-            responses.append(analysis.step_response(fb.model, reference.T, steps))
-        rows = []
-        for j in range(steps + 1):
-            row = [fmt(j * reference.T)]
-            for resp in responses:
-                row.append(fmt(resp.outputs[j, 0]) if j < resp.outputs.shape[0] else "")
-            rows.append(row)
-        _write_csv(out_dir / "step.csv", _suffixed(["t", "y"], names), rows)
+            columns.append(analysis.step_response(fb.model, reference.T, steps).outputs[:, 0])
+        _write_csv(out_dir / "step.csv", _suffixed(["t", "y"], names), columns)
 
     print(f"wrote {out_dir}/report.json and plot CSVs")
     return EXIT_OK

@@ -85,9 +85,7 @@ class InputSignal:
     _KINDS = ("random", "prbs", "sine", "zero")
 
     def __post_init__(self):
-        kind = "random" if self.kind == "random-steps" else self.kind
-        object.__setattr__(self, "kind", kind)
-        if kind not in self._KINDS:
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
@@ -114,6 +112,29 @@ def make_input(spec: InputSignal, L: int, m: int = 1, seed: int | None = None) -
     else:  # prbs
         levels = spec.amplitude * (2.0 * rng.integers(0, 2, size=(n_plateaus, m)) - 1.0)
     return np.repeat(levels, spec.hold, axis=0)[:L]
+
+
+CSV_ROWS = 2048  # rows formatted at a time by write_csv; bounds the text held in memory
+
+
+def write_csv(fh, header: Sequence[str], columns: Sequence) -> None:
+    """Write a header line and one row per entry of the first column.
+
+    Every value is written as ``%.12e`` (the text of ``"{:.12e}".format``,
+    ``nan``, ``inf`` and ``-0`` included); a column shorter than the first is
+    padded with empty cells.  The text is built column by column for
+    ``CSV_ROWS`` rows at a time, never as one whole-file string.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    n_rows = len(columns[0])
+    fh.write(",".join(header) + "\n")
+    for r0 in range(0, n_rows, CSV_ROWS):
+        n = min(CSV_ROWS, n_rows - r0)
+        cells = []
+        for col in columns:
+            text = list(map("%.12e".__mod__, col[r0 : r0 + n].tolist()))
+            cells.append(text + [""] * (n - len(text)))
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass(frozen=True)
@@ -184,6 +205,13 @@ class TrajectoryData:
     def times(self) -> np.ndarray:
         return self.T * np.arange(self.L + 1)
 
+    def _write_csv(self, fh, extra_comments: Sequence[str]) -> None:
+        fh.write(f"# T={self.T!r}\n")
+        for line in extra_comments:
+            fh.write(f"# {line}\n")
+        header = ["t", *self.state_labels, *self.input_labels, *self.output_labels]
+        write_csv(fh, header, [self.times, *self.states.T, *self.inputs.T, *self.outputs.T])
+
     def to_csv(self, extra_comments: Sequence[str] = ()) -> str:
         """Serialize to CSV: comment lines, header, one row per sample.
 
@@ -192,32 +220,26 @@ class TrajectoryData:
         working precision.
         """
         buf = io.StringIO()
-        buf.write(f"# T={self.T!r}\n")
-        for line in extra_comments:
-            buf.write(f"# {line}\n")
-        header = ["t", *self.state_labels, *self.input_labels, *self.output_labels]
-        buf.write(",".join(header) + "\n")
-        for j in range(self.L + 1):
-            cells = [f"{j * self.T:.12e}"]
-            cells += [f"{v:.12e}" for v in self.states[j]]
-            if j < self.L:
-                cells += [f"{v:.12e}" for v in self.inputs[j]]
-            else:
-                cells += [""] * self.m
-            cells += [f"{v:.12e}" for v in self.outputs[j]]
-            buf.write(",".join(cells) + "\n")
+        self._write_csv(buf, extra_comments)
         return buf.getvalue()
 
     def save_csv(self, path, extra_comments: Sequence[str] = ()) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_csv(extra_comments))
+            self._write_csv(fh, extra_comments)
 
     @classmethod
     def from_csv(cls, text: str) -> "TrajectoryData":
+        """Inverse of :meth:`to_csv`.
+
+        Raises:
+            ValueError: no ``# T=`` line, header or rows; an unrecognized
+                header; a row whose cell count differs from the header's or
+                a cell that is not a number (both name the line).
+        """
         T = None
         header = None
-        rows = []
-        for line in text.splitlines():
+        numbers, rows = [], []
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -229,24 +251,37 @@ class TrajectoryData:
             if header is None:
                 header = line.split(",")
                 continue
+            numbers.append(number)
             rows.append(line.split(","))
         if T is None or header is None or not rows:
             raise ValueError("malformed trajectory CSV (missing # T=, header or rows)")
         n = sum(1 for h in header if h.startswith("x"))
         m = sum(1 for h in header if h.startswith("u"))
         l = sum(1 for h in header if h.startswith("y"))
-        if 1 + n + m + l != len(header):
+        width = len(header)
+        if 1 + n + m + l != width:
             raise ValueError(f"unrecognized trajectory header {header}")
-        states = np.array([[float(c) for c in r[1 : 1 + n]] for r in rows])
-        outputs = np.array([[float(c) for c in r[1 + n + m :]] for r in rows])
-        inputs = np.array(
-            [[float(c) for c in r[1 + n : 1 + n + m]] for r in rows[:-1]]
-        ).reshape(len(rows) - 1, m)
+        for number, cells in zip(numbers, rows):
+            if len(cells) != width:
+                raise ValueError(
+                    f"trajectory CSV line {number} has {len(cells)} cells, the header {width}"
+                )
+        rows[-1][1 + n : 1 + n + m] = ["nan"] * m  # the final row drives no step
+        try:
+            values = [float(c) for cells in rows for c in cells]
+        except ValueError:
+            for number, cells in zip(numbers, rows):
+                try:
+                    list(map(float, cells))
+                except ValueError as exc:
+                    raise ValueError(f"trajectory CSV line {number}: {exc}") from None
+            raise
+        table = np.array(values).reshape(len(rows), width)
         return cls(
             T=T,
-            states=states,
-            inputs=inputs,
-            outputs=outputs,
+            states=np.ascontiguousarray(table[:, 1 : 1 + n]),
+            inputs=np.ascontiguousarray(table[:-1, 1 + n : 1 + n + m]),
+            outputs=np.ascontiguousarray(table[:, 1 + n + m :]),
             state_labels=tuple(header[1 : 1 + n]),
             input_labels=tuple(header[1 + n : 1 + n + m]),
             output_labels=tuple(header[1 + n + m :]),

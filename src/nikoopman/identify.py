@@ -547,11 +547,14 @@ def simulate_lifted(mdl: DiscreteLinearModel, x0, inputs: np.ndarray) -> LiftedS
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs.reshape(-1, 1)
-    L = inputs.shape[0]
-    psi = np.empty((L + 1, mdl.order))
+    psi = np.empty((inputs.shape[0] + 1, mdl.order))
     psi[0] = mdl.dictionary.lift(x0)
-    for j in range(L):
-        psi[j + 1] = mdl.A @ psi[j] + mdl.B @ inputs[j]
+    # B u of every step in one product, written in place, then A psi added:
+    # with one input each entry of B u is a single product, so the iterates
+    # equal those of psi[j + 1] = A psi[j] + B u[j]
+    np.matmul(inputs, mdl.B.T, out=psi[1:])
+    for x, nxt in zip(psi, psi[1:]):
+        nxt += mdl.A @ x
     outputs = psi @ mdl.C.T
     states = mdl.dictionary.unlift_state(psi[:, : mdl.dictionary.n])
     return LiftedSimulation(lifted=psi, states=states, outputs=outputs)

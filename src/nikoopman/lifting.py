@@ -13,7 +13,6 @@ fully determines lifted simulation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +125,6 @@ class LiftingDictionary:
             mean=np.asarray(d["mean"], dtype=float) if "mean" in d else None,
             scale=np.asarray(d["scale"], dtype=float) if "scale" in d else None,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _thin_plate(d: np.ndarray) -> np.ndarray:

@@ -266,12 +266,15 @@ def ni_frequency_check(
     c: ContinuousLinearModel,
     omegas: np.ndarray | None = None,
     tol: float = TOL.ni_freq,
+    response: np.ndarray | None = None,
 ) -> FrequencyNiCheck:
     """Grid-based NI test: lambda_min(j(G(jw) - G(jw)*)) >= -tol for all w > 0.
 
     For SISO models the tested quantity reduces to -2 Im G(jw), so the
     verdict matches the phase-in-(-180, 0) reading.  Necessary, not
-    sufficient: a finite grid cannot prove the property.
+    sufficient: a finite grid cannot prove the property.  ``response``, when
+    given, is :func:`freq_response` on the positive frequencies of the grid,
+    already computed by the caller.
     """
     if c.B.shape[1] != c.C.shape[0]:
         raise ValueError("NI check requires a square model (l == m)")
@@ -281,7 +284,7 @@ def ni_frequency_check(
     omegas = omegas[omegas > 0]
     if omegas.size == 0:
         raise ValueError("NI check needs a grid with at least one positive frequency")
-    G = freq_response(c, omegas)
+    G = freq_response(c, omegas) if response is None else response
     # j(G - G*) is Hermitian; take its real eigenvalues, one stacked call
     eig_min = np.linalg.eigvalsh(1j * (G - G.conj().transpose(0, 2, 1))).min(axis=1)
     k = int(np.argmin(eig_min))
@@ -433,11 +436,15 @@ def load_model(
         return model_from_json_dict(json.load(fh))
 
 
+def bode_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude in dB and phase in degrees of transfer values G(jw)."""
+    mags = 20.0 * np.log10(np.maximum(np.abs(G), np.finfo(float).tiny))
+    return mags, np.degrees(np.angle(G))
+
+
 def bode_rows(c: ContinuousLinearModel, omegas: np.ndarray) -> list[tuple[float, float, float]]:
     """(omega, mag_db, phase_deg) rows for the (0, 0) transfer entry."""
-    G = freq_response(c, omegas)[:, 0, 0]
-    mags = 20.0 * np.log10(np.maximum(np.abs(G), np.finfo(float).tiny))
-    phases = np.degrees(np.angle(G))
+    mags, phases = bode_columns(freq_response(c, omegas)[:, 0, 0])
     return [(float(w), float(m), float(p)) for w, m, p in zip(omegas, mags, phases)]
 
 

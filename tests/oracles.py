@@ -193,3 +193,141 @@ def simulate_array_rk4(params, x0, u_table, T, max_step=0.01):
                 raise NonFiniteTrajectoryError(j + 1)
             states[j + 1] = x
     return states
+
+
+def simulate_lifted_per_step(mdl, x0, inputs):
+    """Lifted states psi[j + 1] = A psi[j] + B u[j], forming B u every step."""
+    inputs = np.asarray(inputs, dtype=float).reshape(len(inputs), -1)
+    psi = np.empty((inputs.shape[0] + 1, mdl.order))
+    psi[0] = mdl.dictionary.lift(x0)
+    for j in range(inputs.shape[0]):
+        psi[j + 1] = mdl.A @ psi[j] + mdl.B @ inputs[j]
+    return psi
+
+
+def simulate_continuous_per_step(c, x0, inputs, T):
+    """States x[j + 1] = Ad x[j] + Bd u[j] of the exact discretization."""
+    from nikoopman.analysis import zoh_discretize
+
+    inputs = np.asarray(inputs, dtype=float).reshape(len(inputs), -1)
+    Ad, Bd = zoh_discretize(c, T)
+    states = np.empty((inputs.shape[0] + 1, c.order))
+    states[0] = np.asarray(x0, dtype=float)
+    for j in range(inputs.shape[0]):
+        states[j + 1] = Ad @ states[j] + Bd @ inputs[j]
+    return states
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV text: every value formatted on its own, one row at a time.
+# ---------------------------------------------------------------------------
+
+
+def trajectory_to_csv_per_value(traj, extra_comments=()):
+    """The trajectory CSV: comments, header, rows; empty inputs on the last row."""
+    lines = [f"# T={traj.T!r}"] + [f"# {line}" for line in extra_comments]
+    lines.append(",".join(["t", *traj.state_labels, *traj.input_labels, *traj.output_labels]))
+    for j in range(traj.L + 1):
+        cells = [f"{j * traj.T:.12e}"]
+        cells += [f"{v:.12e}" for v in traj.states[j]]
+        if j < traj.L:
+            cells += [f"{v:.12e}" for v in traj.inputs[j]]
+        else:
+            cells += [""] * traj.m
+        cells += [f"{v:.12e}" for v in traj.outputs[j]]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+def trajectory_from_csv_per_cell(text):
+    """(T, states, inputs, outputs, header) of a trajectory CSV, cell by cell."""
+    T = None
+    header = None
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("T="):
+                T = float(body[2:])
+            continue
+        if header is None:
+            header = line.split(",")
+            continue
+        rows.append(line.split(","))
+    n = sum(1 for h in header if h.startswith("x"))
+    m = sum(1 for h in header if h.startswith("u"))
+    states = np.array([[float(c) for c in r[1 : 1 + n]] for r in rows])
+    outputs = np.array([[float(c) for c in r[1 + n + m :]] for r in rows])
+    inputs = np.array(
+        [[float(c) for c in r[1 + n : 1 + n + m]] for r in rows[:-1]]
+    ).reshape(len(rows) - 1, m)
+    return T, states, inputs, outputs, header
+
+
+def csv_text_per_value(header, rows):
+    """CSV text of rows of cells already formatted."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _suffixed(base, names):
+    if len(names) == 1:
+        return base
+    return [base[0]] + [f"{col}_{name}" for name in names for col in base[1:]]
+
+
+def validate_csvs_per_value(reference, candidates, predictions, omegas, ctrl, steps):
+    """Text of ``validate``'s bode, nyquist, timeseries and step CSVs.
+
+    ``candidates`` are ``analysis.CandidateModel``; ``predictions`` holds each
+    model's predicted states, None for a model that failed.  Responses come
+    from the per-frequency and per-step loops above, every value is formatted
+    with ``"{:.12e}".format`` on its own, and missing cells are empty.
+    """
+    fmt = "{:.12e}".format
+    names = [c.name for c in candidates]
+    conts = [c.to_continuous() for c in candidates]
+    loops = conts
+    if ctrl is not None:
+        ppf = nicore.ppf_realize(ctrl)
+        loops = [nicore.positive_feedback(c, ppf).model for c in conts]
+    bode = []
+    for c in conts:
+        G = freq_response_per_frequency(c, omegas)[:, 0, 0]
+        mags = 20.0 * np.log10(np.maximum(np.abs(G), np.finfo(float).tiny))
+        bode.append((mags, np.degrees(np.angle(G))))
+    nyq = [freq_response_per_frequency(c, omegas)[:, 0, 0] for c in loops]
+    out = {}
+    rows = []
+    for k, w in enumerate(omegas):
+        row = [fmt(w)]
+        for mags, phases in bode:
+            row += [fmt(mags[k]), fmt(phases[k])]
+        rows.append(row)
+    out["bode.csv"] = csv_text_per_value(_suffixed(["omega", "mag_db", "phase_deg"], names), rows)
+    rows = []
+    for k, w in enumerate(omegas):
+        row = [fmt(w)]
+        for G in nyq:
+            row += [fmt(G[k].real), fmt(G[k].imag)]
+        rows.append(row)
+    out["nyquist.csv"] = csv_text_per_value(_suffixed(["omega", "re", "im"], names), rows)
+    rows = []
+    for j in range(reference.L + 1):
+        row = [fmt(j * reference.T), fmt(reference.outputs[j, 0])]
+        row += [fmt(p[j, 0]) if p is not None else "" for p in predictions]
+        rows.append(row)
+    out["timeseries.csv"] = csv_text_per_value(
+        ["t", "y_true"] + [f"y_{n}" for n in names], rows
+    )
+    if ctrl is not None:
+        responses = [step_response_per_step(c, reference.T, steps)[0] for c in loops]
+        rows = []
+        for j in range(steps + 1):
+            row = [fmt(j * reference.T)]
+            row += [fmt(y[j, 0]) if j < y.shape[0] else "" for y in responses]
+            rows.append(row)
+        out["step.csv"] = csv_text_per_value(_suffixed(["t", "y"], names), rows)
+    return out

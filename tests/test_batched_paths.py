@@ -1,18 +1,33 @@
 """The batched and scalar validation paths equal their reference loops bit for bit.
 
 ``freq_response`` solves stacked chunks of frequencies, ``step_response``
-forms its constant input terms once and ``simulate`` integrates the
-mass-spring-damper on Python floats.  Each must reproduce the one-at-a-time
-loop of ``oracles.py`` exactly, so the validation artifacts do not move.
+forms its constant input terms once and tests divergence once per block of
+steps, ``simulate`` integrates the mass-spring-damper on Python floats, the
+linear simulations form their input terms in one product, and the CSV
+writers and parser work a column or a file at a time.  Each must reproduce
+the one-at-a-time loop of ``oracles.py`` exactly, so the validation
+artifacts do not move.
 """
+
+import io
 
 import numpy as np
 import pytest
-from oracles import freq_response_per_frequency, simulate_array_rk4, step_response_per_step
+from oracles import (
+    csv_text_per_value,
+    freq_response_per_frequency,
+    simulate_array_rk4,
+    simulate_continuous_per_step,
+    simulate_lifted_per_step,
+    step_response_per_step,
+    trajectory_from_csv_per_cell,
+    trajectory_to_csv_per_value,
+    validate_csvs_per_value,
+)
 
-from nikoopman import analysis, dynamics, identify, lifting, nicore
-from nikoopman.dynamics import InputSignal, MsdParams, NonFiniteTrajectoryError
-from nikoopman.nicore import ContinuousLinearModel, PpfController
+from nikoopman import analysis, cli, dynamics, identify, lifting, nicore
+from nikoopman.dynamics import InputSignal, MsdParams, NonFiniteTrajectoryError, TrajectoryData
+from nikoopman.nicore import ContinuousLinearModel, DiscreteLinearModel, PpfController
 
 T = 0.01
 GRID = nicore.default_frequency_grid(1e-2, 1e2, 2000)
@@ -52,7 +67,6 @@ def test_ni_frequency_check_matches_per_frequency(readme_model):
     assert chk.worst_omega == GRID[k]
 
 
-
 def _non_normal_pair():
     # poles at +/- j1, each twice, with a coupling of 1e6: the pivot at w near
     # 1 is far smaller than the distance of jw to the poles
@@ -80,6 +94,7 @@ def test_freq_response_near_pole_matches_per_frequency(model, offset):
     assert type(got) is type(want)
     assert np.array_equal(got, want)
 
+
 def test_step_response_matches_per_step(readme_model):
     closed = nicore.positive_feedback(readme_model, PPF).model
     resp = analysis.step_response(closed, T, 2000)
@@ -97,6 +112,41 @@ def test_step_response_divergence_cut_matches():
     outputs, diverged = step_response_per_step(closed, T, 20000)
     assert diverged and resp.diverged
     assert outputs.shape[0] < 20001
+    assert np.array_equal(resp.outputs, outputs)
+
+
+def _unstable_first_order(gain):
+    # x' = x + u, y = gain x: the step response grows by about 1% a step
+    return ContinuousLinearModel(A=[[1.0]], B=[[1.0]], C=[[gain]], D=[[0.0]])
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [0, analysis.STEP_BLOCK // 2 + 1, analysis.STEP_BLOCK - 1, analysis.STEP_BLOCK,
+     2 * analysis.STEP_BLOCK + 3],
+    ids=["first-step", "mid-block", "block-end", "block-start", "third-block"],
+)
+def test_step_response_divergence_inside_and_at_block_edges(cut):
+    if cut == 0:  # a feedthrough beyond the bound diverges on the first output
+        c = ContinuousLinearModel(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[2e6]])
+    else:
+        # scale the output so that the bound 1e6 falls between steps cut - 1 and cut
+        y, _ = step_response_per_step(_unstable_first_order(1.0), T, cut + 1)
+        c = _unstable_first_order(1e6 / np.sqrt(y[cut - 1, 0] * y[cut, 0]))
+    outputs, diverged = step_response_per_step(c, T, 4 * analysis.STEP_BLOCK)
+    assert diverged and outputs.shape[0] == cut + 1
+    resp = analysis.step_response(c, T, 4 * analysis.STEP_BLOCK)
+    assert resp.diverged
+    assert np.array_equal(resp.outputs, outputs)
+    assert np.array_equal(resp.times, T * np.arange(cut + 1))
+
+
+def test_step_response_overflow_after_divergence_is_cut():
+    # the states overflow to inf and then nan inside the block that diverges
+    c = ContinuousLinearModel(A=[[1e5]], B=[[1e300]], C=[[1.0]], D=[[0.0]])
+    outputs, diverged = step_response_per_step(c, 1.0, 3 * analysis.STEP_BLOCK)
+    resp = analysis.step_response(c, 1.0, 3 * analysis.STEP_BLOCK)
+    assert diverged and resp.diverged
     assert np.array_equal(resp.outputs, outputs)
 
 
@@ -134,3 +184,161 @@ def test_simulate_nonfinite_at_same_step(params, x0, Ts):
     with pytest.raises(NonFiniteTrajectoryError) as got:
         dynamics.simulate(params, x0, u, T=Ts)
     assert got.value.step == want.value.step
+
+
+# ---------------------------------------------------------------------------
+# linear simulations with the input terms hoisted out of the recursion
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def readme_val():
+    return dynamics.simulate(
+        MsdParams(), [0.0, 0.0],
+        InputSignal(kind="random", amplitude=1.5, hold=100, seed=1000), T=T, L=2500,
+    )
+
+
+def test_simulate_lifted_one_input_matches_per_step(readme_train, readme_val):
+    dictionary = lifting.make_dictionary(readme_train, n_rbf=6, seed=0)
+    model = identify.identify_unconstrained(readme_train, dictionary).model
+    sim = identify.simulate_lifted(model, readme_val.states[0], readme_val.inputs)
+    psi = simulate_lifted_per_step(model, readme_val.states[0], readme_val.inputs)
+    assert np.array_equal(sim.lifted, psi)
+    assert np.array_equal(sim.outputs, psi @ model.C.T)
+
+
+def _stable_two_input(order, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((order, order))
+    A *= 0.95 / np.max(np.abs(np.linalg.eigvals(A)))
+    return A, rng.standard_normal((order, 2)), rng.uniform(-1.0, 1.0, (500, 2))
+
+
+def _assert_close_to_scale(got, want):
+    # rtol 1e-14, with the small entries measured against the largest one
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_simulate_lifted_two_inputs_close_to_per_step(readme_train):
+    # with two inputs B u sums two products, so the hoisted form may round apart
+    dictionary = lifting.make_dictionary(readme_train, n_rbf=6, seed=0)
+    A, B, u = _stable_two_input(8)
+    model = DiscreteLinearModel(A=A, B=B, C=np.eye(2, 8), D=np.zeros((2, 2)), T=T,
+                                dictionary=dictionary)
+    sim = identify.simulate_lifted(model, [0.3, -0.2], u)
+    _assert_close_to_scale(sim.lifted, simulate_lifted_per_step(model, [0.3, -0.2], u))
+
+
+def test_simulate_continuous_matches_per_step(readme_val):
+    for x0 in ([0.0, 0.0], [0.5, 0.5]):
+        lin = analysis.linearize_msd(MsdParams(), x0)
+        got = analysis.simulate_continuous(lin, readme_val.states[0], readme_val.inputs, T)
+        want = simulate_continuous_per_step(lin, readme_val.states[0], readme_val.inputs, T)
+        assert np.array_equal(got, want)
+    A, B, u = _stable_two_input(4, seed=1)
+    c = ContinuousLinearModel(A=A - 2.0 * np.eye(4), B=B, C=np.eye(2, 4), D=np.zeros((2, 2)))
+    _assert_close_to_scale(analysis.simulate_continuous(c, np.ones(4), u, T),
+                           simulate_continuous_per_step(c, np.ones(4), u, T))
+
+
+# ---------------------------------------------------------------------------
+# CSV text: written a column at a time, parsed a file at a time
+# ---------------------------------------------------------------------------
+
+
+def _awkward_trajectory():
+    # two inputs and two outputs, -0, subnormal, huge and tiny values
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((41, 2)) * np.logspace(-300, 300, 41)[:, None]
+    states[3] = [-0.0, 0.0]
+    states[4] = [5e-324, -2.2250738585072014e-308]
+    inputs = rng.uniform(-1.0, 1.0, (40, 2))
+    inputs[0] = [-0.0, 1e-17]
+    return TrajectoryData(T=0.003, states=states, inputs=inputs, outputs=states[:, ::-1])
+
+
+@pytest.mark.parametrize("traj", ["readme", "awkward"])
+def test_trajectory_csv_matches_per_value(traj, readme_val, tmp_path):
+    traj = readme_val if traj == "readme" else _awkward_trajectory()
+    comments = ["config={\"seed\": 1000}"]
+    text = traj.to_csv(comments)
+    assert text == trajectory_to_csv_per_value(traj, comments)
+    traj.save_csv(tmp_path / "traj.csv", comments)
+    assert (tmp_path / "traj.csv").read_text() == text
+    T, states, inputs, outputs, header = trajectory_from_csv_per_cell(text)
+    again = TrajectoryData.from_csv(text)
+    assert again.T == T
+    assert np.array_equal(again.states, states)
+    assert np.array_equal(again.inputs, inputs)
+    assert np.array_equal(again.outputs, outputs)
+    assert [*again.state_labels, *again.input_labels, *again.output_labels] == header[1:]
+
+
+@pytest.mark.parametrize(
+    "short", [0, 3, dynamics.CSV_ROWS, dynamics.CSV_ROWS + 3],
+    ids=["empty", "first-block", "block-edge", "second-block"],
+)
+def test_write_csv_matches_per_value_format(short):
+    # nan, inf and -0 keep the text of str.format; a short column pads with ""
+    rng = np.random.default_rng(3)
+    n = 2 * dynamics.CSV_ROWS + 5
+    full = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    full[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    part = full[::-1][:short]
+    buf = io.StringIO()
+    dynamics.write_csv(buf, ["a", "b"], [full, part])
+    fmt = "{:.12e}".format
+    rows = [[fmt(v), fmt(part[k]) if k < short else ""] for k, v in enumerate(full)]
+    assert buf.getvalue() == csv_text_per_value(["a", "b"], rows)
+
+
+def test_validate_csvs_match_per_value(tmp_path):
+    """Bode, Nyquist, time-series and step CSVs, one model failing."""
+
+    def run(*argv):
+        return cli.main(list(argv))
+
+    assert run("simulate", "--steps", "400", "--hold", "25", "--out", str(tmp_path / "tr.csv")) == 0
+    assert run("simulate", "--steps", "2200", "--hold", "50", "--amplitude", "1.5", "--seed", "9",
+               "--out", str(tmp_path / "val.csv")) == 0
+    assert run("identify", "--traj", str(tmp_path / "tr.csv"), "--nrbf", "12",
+               "--mode", "unconstrained", "--out", str(tmp_path / "plain.json")) == 0
+    assert run("linearize", "--x0=0.5,0.5", "--out", str(tmp_path / "lin5.json")) == 0
+    # no lifting dictionary and no continuous block: its simulation fails
+    plain, _, _ = nicore.load_model(tmp_path / "plain.json")
+    bare = DiscreteLinearModel(A=plain.A, B=plain.B, C=plain.C, D=plain.D, T=plain.T)
+    nicore.save_model(tmp_path / "bare.json", bare)
+    names = ["plain", "bare", "lin5"]
+    out_dir = tmp_path / "out"
+    assert run("validate", "--models", ",".join(str(tmp_path / f"{n}.json") for n in names),
+               "--traj", str(tmp_path / "val.csv"), "--ppf", "1.2,0.7,2",
+               "--grid", "1e-2,1e2,300", "--steps", "2100", "--out-dir", str(out_dir)) == 0
+
+    ref_text = (tmp_path / "val.csv").read_text()
+    T, states, inputs, outputs, _ = trajectory_from_csv_per_cell(ref_text)
+    reference = TrajectoryData(T=T, states=states, inputs=inputs, outputs=outputs)
+    candidates, predictions = [], []
+    for name in names:
+        mdl, _, cont = nicore.load_model(tmp_path / f"{name}.json")
+        if cont is not None:
+            candidates.append(analysis.CandidateModel(name=name, continuous=cont))
+            predictions.append(simulate_continuous_per_step(cont, states[0], inputs, T))
+        elif mdl.dictionary is not None:
+            candidates.append(analysis.CandidateModel(name=name, discrete=mdl))
+            psi = simulate_lifted_per_step(mdl, states[0], inputs)
+            predictions.append(mdl.dictionary.unlift_state(psi[:, :2]))
+        else:
+            candidates.append(analysis.CandidateModel(name=name, discrete=mdl))
+            predictions.append(None)
+    want = validate_csvs_per_value(
+        reference, candidates, predictions, nicore.default_frequency_grid(1e-2, 1e2, 300),
+        PpfController(K=1.2, zeta=0.7, omega=2.0), 2100,
+    )
+    report = (out_dir / "report.json").read_text()
+    assert '"error": "ValueError: model carries no lifting dictionary"' in report
+    for name, text in want.items():
+        assert (out_dir / name).read_text() == text, name
+    # the failed model's prediction cells are empty; a step response diverged
+    assert (out_dir / "timeseries.csv").read_text().splitlines()[1].split(",")[3] == ""
+    assert "" in (out_dir / "step.csv").read_text().splitlines()[-1].split(",")

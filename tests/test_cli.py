@@ -240,6 +240,19 @@ def test_validate_malformed_grid_exit_two(linear_traj_file, tmp_path, capsys, gr
     assert not out_dir.exists()  # nothing written
 
 
+@pytest.mark.parametrize("ppf", ["1,2", "0.5,x,2", "0.5,0.7,-2"],
+                         ids=["two-values", "not-a-number", "negative-omega"])
+def test_validate_malformed_ppf_exit_two(linear_traj_file, tmp_path, capsys, ppf):
+    lin = tmp_path / "lin.json"
+    assert run(["linearize", "--x0", "0,0", "--T", "0.01", "--out", str(lin)]) == 0
+    out_dir = tmp_path / "val"
+    code = run(["validate", "--models", str(lin), "--traj", str(linear_traj_file),
+                "--ppf", ppf, "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()  # nothing written
+
+
 def test_validate_grid_on_pole_exit_two(linear_traj_file, tmp_path, capsys):
     # the origin linearization has poles at +/- j, and the 5-point grid holds w = 1
     lin0 = tmp_path / "lin0.json"

@@ -229,6 +229,37 @@ def test_trajectory_csv_layout():
     assert lines[-1].split(",")[3] == ""
 
 
+def _csv_with_row(row: int, cells: str) -> str:
+    traj = dynamics.simulate(MsdParams(), [0.0, 0.0], np.ones((4, 1)), T=0.1)
+    lines = traj.to_csv().splitlines()
+    lines[2 + row] = cells  # after the "# T=" line and the header
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "row, cells, match",
+    [
+        (1, "1.0,0.0,0.0,1.0", "line 4 has 4 cells, the header 5"),
+        (1, "1.0,0.0,0.0,1.0,0.0,7.0", "line 4 has 6 cells, the header 5"),
+        (2, "2.0,0.0,zero,1.0,0.0", "line 5: could not convert"),
+        (0, "0.0,0.0,0.0,,0.0", "line 3: could not convert"),
+    ],
+    ids=["short-row", "long-row", "non-numeric", "empty-input-not-final"],
+)
+def test_trajectory_csv_malformed_row(row, cells, match):
+    with pytest.raises(ValueError, match=match):
+        TrajectoryData.from_csv(_csv_with_row(row, cells))
+
+
+def test_trajectory_csv_short_then_long_row():
+    # a flat parse would take the two rows for two well-formed ones
+    text = _csv_with_row(1, "1.0,0.0,0.0,1.0")
+    lines = text.splitlines()
+    lines[4] = "2.0,0.0,0.0,1.0,0.0,9.0"
+    with pytest.raises(ValueError, match="line 4 has 4 cells"):
+        TrajectoryData.from_csv("\n".join(lines))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectoryData(T=0.1, states=np.zeros((3, 2)), inputs=np.zeros((1, 1)), outputs=np.zeros((3, 1)))
