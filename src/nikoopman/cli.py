@@ -194,8 +194,6 @@ def cmd_validate(args) -> int:
     if missing:
         print(f"error: missing input files: {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reference = dynamics.TrajectoryData.load_csv(traj_path)
         candidates = []
@@ -214,10 +212,8 @@ def cmd_validate(args) -> int:
         print(f"error: validation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    # every column is built before the output directory is made, so a grid
+    # frequency on a pole (exit 2) leaves nothing behind
     names = [c.name for c in candidates]
 
     # open-loop Bode (the response the NI check computed, unless the model
@@ -232,15 +228,17 @@ def cmd_validate(args) -> int:
             fb = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl))
             G = nicore.freq_response(fb.model, omegas)[:, 0, 0]
         nyquist += [G.real, G.imag]
-    _write_csv(out_dir / "bode.csv", _suffixed(["omega", "mag_db", "phase_deg"], names), bode)
-    _write_csv(out_dir / "nyquist.csv", _suffixed(["omega", "re", "im"], names), nyquist)
 
     # predicted output time series next to the reference; a failed model's
     # cells stay empty
     preds = [rep.predicted_states[:, 0] if rep.predicted_states is not None else ()
              for rep in report.models]
-    _write_csv(out_dir / "timeseries.csv", ["t", "y_true"] + [f"y_{n}" for n in names],
-               [reference.times, reference.outputs[:, 0], *preds])
+    csvs = [
+        ("bode.csv", _suffixed(["omega", "mag_db", "phase_deg"], names), bode),
+        ("nyquist.csv", _suffixed(["omega", "re", "im"], names), nyquist),
+        ("timeseries.csv", ["t", "y_true"] + [f"y_{n}" for n in names],
+         [reference.times, reference.outputs[:, 0], *preds]),
+    ]
 
     # closed-loop step responses; a diverged one ends early with empty cells
     if ctrl is not None:
@@ -249,7 +247,15 @@ def cmd_validate(args) -> int:
         for cand in candidates:
             fb = nicore.positive_feedback(cand.to_continuous(), nicore.ppf_realize(ctrl))
             columns.append(analysis.step_response(fb.model, reference.T, steps).outputs[:, 0])
-        _write_csv(out_dir / "step.csv", _suffixed(["t", "y"], names), columns)
+        csvs.append(("step.csv", _suffixed(["t", "y"], names), columns))
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "report.json", "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, header, columns in csvs:
+        _write_csv(out_dir / name, header, columns)
 
     print(f"wrote {out_dir}/report.json and plot CSVs")
     return EXIT_OK

@@ -8,20 +8,21 @@ The unconstrained fit is the usual snapshot least squares
 The NI-constrained fit keeps C_d and reshapes the dynamics fit into a
 convex program over (P, Q, B_d) with Q = A_d P:
 
-    minimize   || W (G_A P - Q) ||_F^2  + || W (G_B - B_d) ||_F^2
+    minimize   || G_A P - Q ||_F^2  + || G_B - B_d ||_F^2
     subject to [[P - alpha I, Q], [Q', P]] >= 0,
 
 whose constraint is the Schur form of P >= alpha I and
 A_d P A_d' - P <= -alpha I.  The data enter only through (G_A, G_B): with
-[Theta; Omega] full row rank, the weighted residual against the snapshots
-collapses to the expression above.  B_d appears in no constraint, so its
+[Theta; Omega] full row rank, the residual against the snapshots collapses
+to the expression above.  B_d appears in no constraint, so its
 block minimizes at G_B independently; a strict mode instead recomputes B_d
 from the NI state-space equality after A_d and C_d are fixed, re-selecting
 the certificate P inside its feasible set so the equality matches the data.
 
 The semidefinite program is solved by a dense ADMM: an exact quadratic
-X-update in (P, Q) (assembled once, applied via a cached eigenbasis), a PSD
-cone projection for the splitting variable, and a scaled dual update.
+X-update in (P, Q) (assembled once per step size, applied via a cached
+eigenbasis), a PSD cone projection for the splitting variable, and a scaled
+dual update.
 A_d is recovered as Q P^-1.  The strict-mode certificate re-selection is a
 small semidefinite least-squares program in P alone, solved exactly by the
 log-barrier method of :mod:`nikoopman.sdp`.
@@ -30,6 +31,7 @@ log-barrier method of :mod:`nikoopman.sdp`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,6 +75,7 @@ class EdmdSolution:
     C_d: np.ndarray  # (l, N)
     residual_j1: float
     residual_j2: float
+    gram: np.ndarray  # (N + m, N + m), [Theta; Omega] [Theta; Omega]'
 
 
 def edmd_fit(dm: DataMatrices) -> EdmdSolution:
@@ -98,7 +101,9 @@ def edmd_fit(dm: DataMatrices) -> EdmdSolution:
     C_d = dm.Y @ matcore.pinv(dm.Theta)
     r1 = float(np.linalg.norm(dm.ThetaPlus - G @ Z) ** 2)
     r2 = float(np.linalg.norm(dm.Y - C_d @ dm.Theta) ** 2)
-    return EdmdSolution(G_A=G[:, :N], G_B=G[:, N:], C_d=C_d, residual_j1=r1, residual_j2=r2)
+    return EdmdSolution(
+        G_A=G[:, :N], G_B=G[:, N:], C_d=C_d, residual_j1=r1, residual_j2=r2, gram=gram
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +111,9 @@ def edmd_fit(dm: DataMatrices) -> EdmdSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedCost:
-    """Weighted objective of the convex program, reduced to (G_A, G_B)."""
-
-    W: np.ndarray
-    G_A: np.ndarray
-    G_B: np.ndarray
-
-    def objective(self, P: np.ndarray, Q: np.ndarray, B_d: np.ndarray | None = None) -> float:
-        val = float(np.linalg.norm(self.W @ (self.G_A @ P - Q)) ** 2)
-        if B_d is not None:
-            val += float(np.linalg.norm(self.W @ (self.G_B - B_d)) ** 2)
-        return val
-
-
-def reduce_cost(sol: EdmdSolution, W: np.ndarray | None, dm: DataMatrices) -> ReducedCost:
-    """Validate the full-row-rank premise and build the reduced objective.
-
-    Raises:
-        RankDeficientError: smallest Gram eigenvalue of [Theta; Omega] below
-            TOL.rank_rel times the largest.
-    """
-    Z = np.vstack([dm.Theta, dm.Omega])
-    eigs = matcore.sym_eig(Z @ Z.T).eigenvalues
-    if eigs[-1] <= TOL.rank_rel * max(eigs[0], np.finfo(float).tiny):
-        raise RankDeficientError(
-            f"[Theta; Omega] row-rank deficient (Gram eigs {eigs[-1]:.3e} vs {eigs[0]:.3e})"
-        )
-    N = sol.G_A.shape[0]
-    W = np.eye(N) if W is None else np.asarray(W, dtype=float)
-    return ReducedCost(W=W, G_A=sol.G_A, G_B=sol.G_B)
+def objective(G_A: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
+    """The program's dynamics cost ||G_A P - Q||_F^2 (B_d = G_B adds nothing)."""
+    return float(np.linalg.norm(G_A @ P - Q) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +147,12 @@ class NiProgram:
     G_A: np.ndarray
     G_B: np.ndarray
     alpha: float = 1e-3
-    W: np.ndarray | None = None
     max_iters: int = 20000
     tol: float = TOL.admm_rel
 
     def __post_init__(self):
         object.__setattr__(self, "G_A", np.atleast_2d(np.asarray(self.G_A, dtype=float)))
         object.__setattr__(self, "G_B", np.atleast_2d(np.asarray(self.G_B, dtype=float)))
-        if self.W is not None:
-            object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.max_iters < 1:
@@ -200,6 +174,12 @@ class NiProgramSolution:
     lmi_min_eig: float
     converged: bool
     completion: dict | None = None
+
+
+def _fro(x: np.ndarray) -> float:
+    # np.linalg.norm(x) for a real array, without its dispatch
+    x = x.ravel(order="K")
+    return math.sqrt(x @ x)
 
 
 def _lmi_block(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
@@ -232,22 +212,19 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     G_A, alpha, rho = prog.G_A, prog.alpha, RHO_INIT
     N = G_A.shape[0]
     eye = np.eye(N)
-    W = eye if prog.W is None else prog.W
-    V = W.T @ W
-
-    VG = V @ G_A
+    G_C = np.ascontiguousarray(G_A)  # G_A may be a column slice of [G_A G_B]
 
     def factorize(rho):
-        # cached pieces of the exact X-update for the current step size
-        F = matcore.solve(V + rho * eye, eye)  # (V + rho I)^-1
-        Vt = V @ F
-        Vt = 0.5 * (Vt + Vt.T)
-        H = rho * G_A.T @ Vt @ G_A
+        # cached pieces of the exact X-update for the current step size; the
+        # inverse (I + rho I)^-1 is the scalar f, and every matmul operand is
+        # C-ordered, as the matrix products these replace had them
+        f = 1.0 / (1.0 + rho)
+        H = np.multiply(rho * G_A.T, f, order="C") @ G_A
         eig = matcore.sym_eig(0.5 * (H + H.T))
         denom = eig.eigenvalues[:, None] + eig.eigenvalues[None, :] + 2.0 * rho
-        return F, G_A.T @ Vt, eig.eigenvectors, denom
+        return f, np.multiply(G_A.T, f, order="C"), eig.eigenvectors, denom
 
-    F, GtV, UH, denom = factorize(rho)
+    f, GtV, UH, denom = factorize(rho)
 
     P = eye.copy()
     Q = G_A.copy()
@@ -266,7 +243,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         R = rho * (alpha_eye + M11 + M22 + cross + cross.T)
         P = UH @ ((UH.T @ R @ UH) / denom) @ UH.T
         P = 0.5 * (P + P.T)
-        Q = F @ (VG @ P + rho * M12)
+        Q = f * (G_C @ P + rho * M12)
 
         np.subtract(P, alpha_eye, out=SX[:N, :N])
         SX[:N, N:] = Q
@@ -274,11 +251,11 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         SX[N:, N:] = P
         Z_new = matcore.psd_project(SX + U)
         step = SX - Z_new
-        primal = float(np.linalg.norm(step))
-        dual = float(rho * np.linalg.norm(Z_new - Z))
+        primal = _fro(step)
+        dual = rho * _fro(Z_new - Z)
         U += step
         Z = Z_new
-        scale = max(1.0, float(np.linalg.norm(SX)), float(np.linalg.norm(Z)))
+        scale = max(1.0, _fro(SX), _fro(Z))
         if primal <= prog.tol * scale and dual <= prog.tol * scale:
             converged = True
             break
@@ -286,7 +263,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         if factor != 1.0:
             rho *= factor
             U /= factor
-            F, GtV, UH, denom = factorize(rho)
+            f, GtV, UH, denom = factorize(rho)
 
     # post-hoc feasibility: shifting P by delta I moves the whole block by
     # exactly delta I, so one shift restores lambda_min >= 0
@@ -300,7 +277,6 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         raise SingularPError(p_min)
     A_d = matcore.solve(P, Q.T).T
 
-    cost = ReducedCost(W=W, G_A=G_A, G_B=prog.G_B)
     return NiProgramSolution(
         P=P,
         Q=Q,
@@ -309,7 +285,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         iterations=iterations,
         primal_res=primal,
         dual_res=dual,
-        objective=cost.objective(P, Q),
+        objective=objective(G_A, P, Q),
         lmi_min_eig=lmi_min,
         converged=converged,
     )
@@ -433,7 +409,6 @@ class IdentifyConfig:
     """Configuration of the NI-constrained identification."""
 
     alpha: float = 1e-3
-    W: np.ndarray | None = None
     strict_b: bool = False
     max_iters: int = 20000
 
@@ -479,18 +454,18 @@ def identify_ni(
     """
     dm = build_matrices(traj, dictionary)
     sol = edmd_fit(dm)
-    reduce_cost(sol, cfg.W, dm)  # validates the full-row-rank premise
-    prog = NiProgram(
-        G_A=sol.G_A, G_B=sol.G_B, alpha=cfg.alpha, W=cfg.W, max_iters=cfg.max_iters
-    )
-    ni = solve_ni(prog)
+    # the cost reduction to (G_A, G_B) needs [Theta; Omega] of full row rank
+    eigs = matcore.sym_eig(sol.gram).eigenvalues
+    if eigs[-1] <= TOL.rank_rel * max(eigs[0], np.finfo(float).tiny):
+        raise RankDeficientError(
+            f"[Theta; Omega] row-rank deficient (Gram eigs {eigs[-1]:.3e} vs {eigs[0]:.3e})"
+        )
+    ni = solve_ni(NiProgram(G_A=sol.G_A, G_B=sol.G_B, alpha=cfg.alpha, max_iters=cfg.max_iters))
     B_d = ni.B_d
     if cfg.strict_b:
         comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, cfg.alpha)
         B_d = comp.B_d
         Q = ni.A_d @ comp.P
-        cost = ReducedCost(W=np.eye(ni.A_d.shape[0]) if cfg.W is None else cfg.W,
-                           G_A=sol.G_A, G_B=sol.G_B)
         # converged still reports the Problem-2 solve; the completion stage
         # carries its own flag in the completion block
         ni = dataclasses.replace(
@@ -498,7 +473,7 @@ def identify_ni(
             P=comp.P,
             Q=Q,
             B_d=B_d,
-            objective=cost.objective(comp.P, Q),
+            objective=objective(sol.G_A, comp.P, Q),
             lmi_min_eig=float(
                 matcore.sym_eig(_lmi_block(comp.P, Q, cfg.alpha)).eigenvalues[-1]
             ),

@@ -4,7 +4,8 @@ Matrices are plain 2-D numpy arrays (float64 real, complex128 complex),
 row-major.  The helpers here wrap numpy/scipy LAPACK routines behind the
 small set of operations the identification pipeline needs: symmetric
 eigendecomposition, PSD cone projection, pseudoinverse and linear solves with
-explicit singularity detection.
+explicit singularity detection.  The eigendecomposition and the PSD
+projection share one call of LAPACK ``syevd``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def _square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+# LAPACK's divide-and-conquer symmetric eigensolver, called directly on the
+# lower triangle: the routine and triangle np.linalg.eigh uses, without its
+# wrapper overhead
+_SYEVD = scipy.linalg.get_lapack_funcs("syevd", dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class SymEig:
     """Spectral decomposition of a symmetric matrix.
@@ -50,8 +57,15 @@ class SymEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
+
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigenvalues (descending) and eigenvectors of (a + a')/2, both C-ordered
+    a = _square(np.asarray(a, dtype=float))
+    s = 0.5 * (a + a.T)
+    w, v, info = _SYEVD(s, lower=1)
+    if info != 0:
+        raise NotConvergedError(f"syevd did not converge (info = {info})")
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def sym_eig(a: np.ndarray) -> SymEig:
@@ -64,23 +78,20 @@ def sym_eig(a: np.ndarray) -> SymEig:
         NonSquareError: if ``a`` is not square.
         NotConvergedError: if LAPACK fails to converge.
     """
-    a = _square(np.asarray(a, dtype=float))
-    s = 0.5 * (a + a.T)
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NotConvergedError(f"eigh did not converge: {exc}") from exc
-    return SymEig(w[::-1].copy(), v[:, ::-1].copy())
+    return SymEig(*_eigh_descending(a))
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive-semidefinite matrix to ``a``.
 
     Symmetrizes, clips negative eigenvalues at zero and reassembles.
+
+    Raises:
+        NonSquareError: if ``a`` is not square.
+        NotConvergedError: if LAPACK fails to converge.
     """
-    e = sym_eig(a)
-    clipped = np.maximum(e.eigenvalues, 0.0)
-    out = (e.eigenvectors * clipped) @ e.eigenvectors.T
+    w, v = _eigh_descending(a)
+    out = (v * np.maximum(w, 0.0)) @ v.T
     return 0.5 * (out + out.T)
 
 

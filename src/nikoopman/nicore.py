@@ -446,9 +446,3 @@ def bode_rows(c: ContinuousLinearModel, omegas: np.ndarray) -> list[tuple[float,
     """(omega, mag_db, phase_deg) rows for the (0, 0) transfer entry."""
     mags, phases = bode_columns(freq_response(c, omegas)[:, 0, 0])
     return [(float(w), float(m), float(p)) for w, m, p in zip(omegas, mags, phases)]
-
-
-def nyquist_rows(c: ContinuousLinearModel, omegas: np.ndarray) -> list[tuple[float, float, float]]:
-    """(omega, re, im) rows for the (0, 0) transfer entry."""
-    G = freq_response(c, omegas)[:, 0, 0]
-    return [(float(w), float(g.real), float(g.imag)) for w, g in zip(omegas, G)]

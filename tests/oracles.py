@@ -331,3 +331,123 @@ def validate_csvs_per_value(reference, candidates, predictions, omegas, ctrl, st
             rows.append(row)
         out["step.csv"] = csv_text_per_value(_suffixed(["t", "y"], names), rows)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference eigen path and ADMM loop: the symmetric eigendecomposition through
+# np.linalg.eigh, and the NI-program ADMM with a general weight W, whose
+# X-update forms (W'W + rho I)^-1 by an LU solve.  The package calls LAPACK
+# syevd directly and, with the weight fixed at the identity, replaces that
+# inverse by the scalar 1/(1 + rho); its iterates must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def sym_eig_eigh(a):
+    """(eigenvalues descending, eigenvectors) of (a + a')/2 by np.linalg.eigh."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[0] != a.shape[1]:
+        raise matcore.NonSquareError(f"matrix must be square, got shape {a.shape}")
+    try:
+        w, v = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise matcore.NotConvergedError(f"eigh did not converge: {exc}") from exc
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def psd_project_eigh(a):
+    """Frobenius-nearest PSD matrix: clip the eigh eigenvalues and reassemble."""
+    w, v = sym_eig_eigh(a)
+    out = (v * np.maximum(w, 0.0)) @ v.T
+    return 0.5 * (out + out.T)
+
+
+def _lmi_block(P, Q, alpha):
+    N = P.shape[0]
+    return np.block([[P - alpha * np.eye(N), Q], [Q.T, P]])
+
+
+def solve_ni_weighted(G_A, alpha, max_iters, tol, W=None):
+    """The weighted NI-program ADMM, one iterate path, eigh for every eigen step.
+
+    minimize ||W (G_A P - Q)||_F^2 over [[P - alpha I, Q], [Q', P]] >= 0, from
+    P = I, Q = G_A and rho = 1, with rho doubled or halved every 50 iterations
+    when one residual exceeds ten times the other (within [1e-6, 1e6]).  The
+    last P is shifted along the identity if the block is indefinite.  Returns
+    a dict with P, Q, A_d, iterations, primal_res, dual_res, objective,
+    lmi_min_eig, converged and the number of step-size changes.
+    """
+    rho = 1.0
+    N = G_A.shape[0]
+    eye = np.eye(N)
+    W = eye if W is None else W
+    V = W.T @ W
+    VG = V @ G_A
+
+    def factorize(rho):
+        F = matcore.solve(V + rho * eye, eye)
+        Vt = V @ F
+        Vt = 0.5 * (Vt + Vt.T)
+        H = rho * G_A.T @ Vt @ G_A
+        lam, vec = sym_eig_eigh(0.5 * (H + H.T))
+        return F, G_A.T @ Vt, vec, lam[:, None] + lam[None, :] + 2.0 * rho
+
+    F, GtV, UH, denom = factorize(rho)
+    P = eye.copy()
+    Q = G_A.copy()
+    Z = psd_project_eigh(_lmi_block(P, Q, alpha))
+    U = np.zeros((2 * N, 2 * N))
+    alpha_eye = alpha * eye
+    SX = np.empty((2 * N, 2 * N))
+    primal = dual = np.inf
+    iterations = rho_changes = 0
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        M = Z - U
+        M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
+        cross = GtV @ M12
+        R = rho * (alpha_eye + M11 + M22 + cross + cross.T)
+        P = UH @ ((UH.T @ R @ UH) / denom) @ UH.T
+        P = 0.5 * (P + P.T)
+        Q = F @ (VG @ P + rho * M12)
+        np.subtract(P, alpha_eye, out=SX[:N, :N])
+        SX[:N, N:] = Q
+        SX[N:, :N] = Q.T
+        SX[N:, N:] = P
+        Z_new = psd_project_eigh(SX + U)
+        step = SX - Z_new
+        primal = float(np.linalg.norm(step))
+        dual = float(rho * np.linalg.norm(Z_new - Z))
+        U += step
+        Z = Z_new
+        scale = max(1.0, float(np.linalg.norm(SX)), float(np.linalg.norm(Z)))
+        if primal <= tol * scale and dual <= tol * scale:
+            converged = True
+            break
+        factor = 1.0
+        if iterations % 50 == 0:
+            if primal > 10.0 * dual and rho < 1e6:
+                factor = 2.0
+            elif dual > 10.0 * primal and rho > 1e-6:
+                factor = 0.5
+        if factor != 1.0:
+            rho *= factor
+            U /= factor
+            rho_changes += 1
+            F, GtV, UH, denom = factorize(rho)
+
+    lmi_min = float(sym_eig_eigh(_lmi_block(P, Q, alpha))[0][-1])
+    if lmi_min < 0.0:
+        P = P + (-lmi_min) * eye
+        lmi_min = float(sym_eig_eigh(_lmi_block(P, Q, alpha))[0][-1])
+    return {
+        "P": P,
+        "Q": Q,
+        "A_d": matcore.solve(P, Q.T).T,
+        "iterations": iterations,
+        "primal_res": primal,
+        "dual_res": dual,
+        "objective": float(np.linalg.norm(W @ (G_A @ P - Q)) ** 2),
+        "lmi_min_eig": lmi_min,
+        "converged": converged,
+        "rho_changes": rho_changes,
+    }

@@ -1,12 +1,14 @@
-"""The batched and scalar validation paths equal their reference loops bit for bit.
+"""The batched and scalar fast paths equal their reference loops bit for bit.
 
 ``freq_response`` solves stacked chunks of frequencies, ``step_response``
 forms its constant input terms once and tests divergence once per block of
 steps, ``simulate`` integrates the mass-spring-damper on Python floats, the
 linear simulations form their input terms in one product, and the CSV
-writers and parser work a column or a file at a time.  Each must reproduce
-the one-at-a-time loop of ``oracles.py`` exactly, so the validation
-artifacts do not move.
+writers and parser work a column or a file at a time.  The eigen kernels call
+LAPACK ``syevd`` directly, and the NI-program ADMM replaces its weighted
+X-update by the identity-weight scalar.  Each must reproduce the reference of
+``oracles.py`` exactly, so the identification and validation artifacts do
+not move.
 """
 
 import io
@@ -16,16 +18,19 @@ import pytest
 from oracles import (
     csv_text_per_value,
     freq_response_per_frequency,
+    psd_project_eigh,
     simulate_array_rk4,
     simulate_continuous_per_step,
     simulate_lifted_per_step,
+    solve_ni_weighted,
     step_response_per_step,
+    sym_eig_eigh,
     trajectory_from_csv_per_cell,
     trajectory_to_csv_per_value,
     validate_csvs_per_value,
 )
 
-from nikoopman import analysis, cli, dynamics, identify, lifting, nicore
+from nikoopman import analysis, cli, dynamics, identify, lifting, matcore, nicore
 from nikoopman.dynamics import InputSignal, MsdParams, NonFiniteTrajectoryError, TrajectoryData
 from nikoopman.nicore import ContinuousLinearModel, DiscreteLinearModel, PpfController
 
@@ -342,3 +347,73 @@ def test_validate_csvs_match_per_value(tmp_path):
     # the failed model's prediction cells are empty; a step response diverged
     assert (out_dir / "timeseries.csv").read_text().splitlines()[1].split(",")[3] == ""
     assert "" in (out_dir / "step.csv").read_text().splitlines()[-1].split(",")
+
+
+# ---------------------------------------------------------------------------
+# eigen kernels and the NI-program ADMM
+# ---------------------------------------------------------------------------
+
+
+def _eigen_inputs(n, rng):
+    """A random, a low-rank, a repeated-eigenvalue and a NaN matrix of order n."""
+    a = rng.standard_normal((n, n))
+    g = rng.standard_normal((n, max(1, n // 3)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.repeat(rng.standard_normal((n + 2) // 3), 3)[:n]
+    nan = a.copy()
+    nan[n // 2, 0] = np.nan
+    return {"random": a, "low-rank": g @ g.T, "repeated": (q * d) @ q.T, "nan": nan}
+
+
+def _result_or_error(f, a):
+    try:
+        return f(a)
+    except matcore.NotConvergedError:
+        return "not converged"
+
+
+@pytest.mark.parametrize("n", range(2, 37))
+def test_eigen_kernels_match_eigh(n):
+    # a NaN makes both fail to converge for small n and returns NaNs for large n
+    rng = np.random.default_rng(n)
+    for a in _eigen_inputs(n, rng).values():
+        got = _result_or_error(matcore.sym_eig, a)
+        want = _result_or_error(sym_eig_eigh, a)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got.eigenvalues, want[0], equal_nan=True)
+            assert np.array_equal(got.eigenvectors, want[1], equal_nan=True)
+        got = _result_or_error(matcore.psd_project, a)
+        want = _result_or_error(psd_project_eigh, a)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_eigen_kernels_raise_when_syevd_fails(monkeypatch):
+    def failing(a, lower=0):
+        n = a.shape[0]
+        return np.zeros(n), np.eye(n), 1
+
+    monkeypatch.setattr(matcore, "_SYEVD", failing)
+    for f in (matcore.sym_eig, matcore.psd_project):
+        with pytest.raises(matcore.NotConvergedError, match="info = 1"):
+            f(np.eye(3))
+
+
+@pytest.mark.parametrize("n_rbf", [6, 16])
+def test_solve_ni_matches_weighted_admm(readme_train, n_rbf):
+    # 3,000 iterations of the README program: not converged, with step-size changes
+    dictionary = lifting.make_dictionary(readme_train, n_rbf=n_rbf, seed=0)
+    sol = identify.edmd_fit(lifting.build_matrices(readme_train, dictionary))
+    got = identify.solve_ni(
+        identify.NiProgram(G_A=sol.G_A, G_B=sol.G_B, alpha=1e-5, max_iters=3000)
+    )
+    want = solve_ni_weighted(sol.G_A, 1e-5, 3000, identify.TOL.admm_rel)
+    assert want["rho_changes"] >= 1 and not want["converged"]
+    for key in ("P", "Q", "A_d"):
+        assert np.array_equal(getattr(got, key), want[key]), key
+    for key in ("iterations", "primal_res", "dual_res", "objective", "lmi_min_eig", "converged"):
+        assert getattr(got, key) == want[key], key

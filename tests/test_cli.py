@@ -261,6 +261,7 @@ def test_validate_grid_on_pole_exit_two(linear_traj_file, tmp_path, capsys):
                 "--grid", "1e-2,1e2,5", "--out-dir", str(tmp_path / "val")])
     assert code == 2
     assert "omega = 1 rad/s" in capsys.readouterr().err
+    assert not (tmp_path / "val").exists()  # nothing written, no partial report
 
 
 def test_full_pipeline_byte_determinism(tmp_path):

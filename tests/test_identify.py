@@ -111,26 +111,23 @@ def full_rank_dm(seed=0, N=3, m=1, L=40):
 def test_reduce_cost_consistency():
     dm = full_rank_dm()
     sol = identify.edmd_fit(dm)
-    cost = identify.reduce_cost(sol, None, dm)
-    assert cost.objective(np.eye(3), sol.G_A, sol.G_B) <= 1e-18
+    assert identify.objective(sol.G_A, np.eye(3), sol.G_A) <= 1e-18
 
 
 def test_reduce_cost_identity_p_zero_q():
     dm = full_rank_dm(seed=2)
     sol = identify.edmd_fit(dm)
-    cost = identify.reduce_cost(sol, None, dm)
-    val = cost.objective(np.eye(3), np.zeros((3, 3)), sol.G_B)
+    val = identify.objective(sol.G_A, np.eye(3), np.zeros((3, 3)))
     assert val == pytest.approx(np.linalg.norm(sol.G_A) ** 2, rel=1e-12)
 
 
 def test_reduce_cost_matches_direct_weighted_cost():
-    # oracle: evaluate the weighted snapshot cost with the data-side weight
-    # built from the pseudoinverse and the block-diagonal P extension
+    # oracle: evaluate the snapshot cost with the data-side weight built from
+    # the pseudoinverse and the block-diagonal P extension; the reduced cost
+    # is the dynamics part plus ||G_B - B||^2
     rng = np.random.default_rng(5)
     dm = full_rank_dm(seed=5, N=3, m=2, L=50)
     sol = identify.edmd_fit(dm)
-    W = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-    cost = identify.reduce_cost(sol, W, dm)
     P = rng.normal(size=(3, 3))
     P = P @ P.T + np.eye(3)
     Q = rng.normal(size=(3, 3))
@@ -139,20 +136,17 @@ def test_reduce_cost_matches_direct_weighted_cost():
     w_hat = Z.T @ np.linalg.pinv(Z @ Z.T) @ np.block(
         [[P, np.zeros((3, 2))], [np.zeros((2, 3)), np.eye(2)]]
     )
-    direct = np.linalg.norm(W @ dm.ThetaPlus @ w_hat - W @ np.hstack([Q, B])) ** 2
-    assert cost.objective(P, Q, B) == pytest.approx(direct, abs=1e-9, rel=1e-9)
+    direct = np.linalg.norm(dm.ThetaPlus @ w_hat - np.hstack([Q, B])) ** 2
+    reduced = identify.objective(sol.G_A, P, Q) + np.linalg.norm(sol.G_B - B) ** 2
+    assert reduced == pytest.approx(direct, abs=1e-9, rel=1e-9)
 
 
 def test_reduce_cost_rank_deficient():
-    theta = np.ones((3, 30))  # identical rows: rank 1
-    dm = DataMatrices(Theta=theta, ThetaPlus=theta.copy(),
-                      Omega=np.ones((1, 30)), Y=theta[:1].copy())
-    sol_ga = identify.EdmdSolution(
-        G_A=np.eye(3), G_B=np.zeros((3, 1)), C_d=np.zeros((1, 3)),
-        residual_j1=0.0, residual_j2=0.0,
-    )
-    with pytest.raises(identify.RankDeficientError):
-        identify.reduce_cost(sol_ga, None, dm)
+    # a zero input leaves the Omega row of [Theta; Omega] zero: the cost
+    # reduction is invalid and identify_ni refuses the data
+    traj = dynamics.simulate(linear_msd_params(), [1.0, 0.0], np.zeros((200, 1)), T=0.1)
+    with pytest.raises(identify.RankDeficientError, match="row-rank deficient"):
+        identify.identify_ni(traj, identity_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -380,5 +380,3 @@ def test_bode_and_nyquist_rows():
     assert w == 1.0
     assert mag_db == pytest.approx(20 * np.log10(1 / np.sqrt(2)))
     assert phase == pytest.approx(-45.0)
-    nrows = nicore.nyquist_rows(c, np.array([1.0]))
-    assert nrows[0][1] == pytest.approx(0.5) and nrows[0][2] == pytest.approx(-0.5)
