@@ -22,7 +22,7 @@ from nikoopman import (
     simulate,
     to_continuous,
 )
-from nikoopman.nicore import bode_rows, default_frequency_grid
+from nikoopman.nicore import bode_columns, default_frequency_grid, freq_response
 
 params = MsdParams()
 train = simulate(params, [0.0, 0.0],
@@ -38,13 +38,12 @@ omegas = default_frequency_grid()
 for name, model in [("constrained", constrained.model), ("unconstrained", plain.model)]:
     cont = to_continuous(model)
     chk = ni_frequency_check(cont, omegas)
-    rows = bode_rows(cont, omegas)
-    phases = np.array([r[2] for r in rows])
+    mags, phases = bode_columns(freq_response(cont, omegas)[:, 0, 0])
     print(f"{name:>13}: NI on grid = {chk.is_ni}, "
           f"min eig j(G - G*) = {chk.min_eig_over_grid:+.2e} at w = {chk.worst_omega:.3g}, "
           f"phase range [{phases.min():.1f}, {phases.max():.1f}] deg")
     with open(f"bode_{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "mag_db", "phase_deg"])
-        writer.writerows(rows)
+        writer.writerows(zip(omegas, mags, phases))
     print(f"              wrote bode_{name}.csv")

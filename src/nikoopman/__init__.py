@@ -28,7 +28,6 @@ from .dynamics import (
 from .identify import (
     EdmdSolution,
     IdentifyConfig,
-    NiProgram,
     NiProgramSolution,
     complete_certificate,
     edmd_fit,
@@ -86,7 +85,6 @@ __all__ = [
     "positive_feedback",
     "EdmdSolution",
     "edmd_fit",
-    "NiProgram",
     "NiProgramSolution",
     "solve_ni",
     "complete_certificate",

@@ -173,6 +173,14 @@ class ClosedLoopVerdict:
     dc_gain_lambda_max: float
     spectral_radius: float
     verdict: str  # stable | unstable | inconclusive
+    loop: ContinuousLinearModel = field(repr=False)  # the r -> y loop judged, not saved
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dc_gain_lambda_max": self.dc_gain_lambda_max,
+            "spectral_radius": self.spectral_radius,
+            "verdict": self.verdict,
+        }
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,9 @@ class ModelReport:
     dc_gain: float | None = None
     closed_loop: ClosedLoopVerdict | None = None
     predicted_states: np.ndarray | None = field(default=None, repr=False)
-    response: np.ndarray | None = field(default=None, repr=False)  # open-loop G(jw), not saved
+    # the continuous image and its open-loop G(jw) on the grid, not saved
+    continuous: ContinuousLinearModel | None = field(default=None, repr=False)
+    response: np.ndarray | None = field(default=None, repr=False)
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -200,7 +210,7 @@ class ModelReport:
         out["phase"] = asdict(self.phase)
         out["dc_gain"] = self.dc_gain
         if self.closed_loop is not None:
-            out["closed_loop"] = asdict(self.closed_loop)
+            out["closed_loop"] = self.closed_loop.to_json_dict()
         return out
 
 
@@ -239,6 +249,7 @@ def closed_loop_verdict(
         dc_gain_lambda_max=fb.dc_gain_lambda_max,
         spectral_radius=radius,
         verdict=verdict,
+        loop=fb.model,
     )
 
 
@@ -250,8 +261,10 @@ def evaluate_model(
 ) -> ModelReport:
     """Predictions, NI evidence and closed-loop verdict for one candidate.
 
-    The open-loop response on the positive frequencies of ``omegas`` is
-    computed once, for the NI check, and kept in the report's ``response``.
+    The continuous image and its open-loop response on the positive
+    frequencies of ``omegas`` (computed once, for the NI check) are kept in
+    the report's ``continuous`` and ``response``, the closed loop in its
+    ``closed_loop.loop``.
     """
     x0 = reference.states[0]
     if entry.discrete is not None:
@@ -283,6 +296,7 @@ def evaluate_model(
         dc_gain=gain,
         closed_loop=closed,
         predicted_states=states_pred,
+        continuous=cont,
         response=response,
     )
 

@@ -216,17 +216,32 @@ def cmd_validate(args) -> int:
     # frequency on a pole (exit 2) leaves nothing behind
     names = [c.name for c in candidates]
 
-    # open-loop Bode (the response the NI check computed, unless the model
-    # failed before it) and the open- or closed-loop Nyquist columns
-    bode, nyquist = [omegas], [omegas]
+    # open-loop Bode, open- or closed-loop Nyquist and closed-loop step
+    # columns from the continuous image, response and loop that evaluate_model
+    # built; for a model that failed before that they are built here, and a
+    # model without a bilinear image gets empty cells
+    steps = int(args.steps)
+    bode, nyquist, step = [omegas], [omegas], [reference.T * np.arange(steps + 1)]
     for cand, rep in zip(candidates, report.models):
-        cont = cand.to_continuous()
-        G = rep.response if rep.response is not None else nicore.freq_response(cont, omegas)
+        cont, G = rep.continuous, rep.response
+        loop = rep.closed_loop.loop if rep.closed_loop is not None else None
+        if cont is None:
+            try:
+                cont = cand.to_continuous()
+            except nicore.SingularAtMinusOneError:
+                bode += [(), ()]
+                nyquist += [(), ()]
+                step.append(())
+                continue
+            G = nicore.freq_response(cont, omegas)
         G = G[:, 0, 0]
         bode += nicore.bode_columns(G)
         if ctrl is not None:
-            fb = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl))
-            G = nicore.freq_response(fb.model, omegas)[:, 0, 0]
+            if loop is None:
+                loop = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl)).model
+            G = nicore.freq_response(loop, omegas)[:, 0, 0]
+            # a diverged step response ends early with empty cells
+            step.append(analysis.step_response(loop, reference.T, steps).outputs[:, 0])
         nyquist += [G.real, G.imag]
 
     # predicted output time series next to the reference; a failed model's
@@ -240,14 +255,8 @@ def cmd_validate(args) -> int:
          [reference.times, reference.outputs[:, 0], *preds]),
     ]
 
-    # closed-loop step responses; a diverged one ends early with empty cells
     if ctrl is not None:
-        steps = int(args.steps)
-        columns = [reference.T * np.arange(steps + 1)]
-        for cand in candidates:
-            fb = nicore.positive_feedback(cand.to_continuous(), nicore.ppf_realize(ctrl))
-            columns.append(analysis.step_response(fb.model, reference.T, steps).outputs[:, 0])
-        csvs.append(("step.csv", _suffixed(["t", "y"], names), columns))
+        csvs.append(("step.csv", _suffixed(["t", "y"], names), step))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .tolerances import TOL
+
 
 class NonFiniteTrajectoryError(RuntimeError):
     """Simulation produced a non-finite state."""
@@ -93,24 +95,23 @@ class InputSignal:
             raise ValueError("hold must be at least 1")
 
 
-def make_input(spec: InputSignal, L: int, m: int = 1, seed: int | None = None) -> np.ndarray:
-    """Sample an (L, m) input table from an :class:`InputSignal`.
+def make_input(spec: InputSignal, L: int) -> np.ndarray:
+    """Sample an (L, 1) input table from an :class:`InputSignal`.
 
-    Deterministic given the seed (``spec.seed`` unless overridden).
+    Deterministic given ``spec.seed``.
     """
     if L < 1:
         raise ValueError(f"need at least one sample, got L={L}")
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     n_plateaus = -(-L // spec.hold)  # ceil
     if spec.kind == "zero":
-        return np.zeros((L, m))
+        return np.zeros((L, 1))
     if spec.kind == "sine":
-        j = np.arange(L)[:, None]
-        return np.repeat(spec.amplitude * np.sin(2.0 * np.pi * j / spec.hold), m, axis=1)
+        return spec.amplitude * np.sin(2.0 * np.pi * np.arange(L)[:, None] / spec.hold)
     if spec.kind == "random":
-        levels = rng.uniform(-spec.amplitude, spec.amplitude, size=(n_plateaus, m))
+        levels = rng.uniform(-spec.amplitude, spec.amplitude, size=(n_plateaus, 1))
     else:  # prbs
-        levels = spec.amplitude * (2.0 * rng.integers(0, 2, size=(n_plateaus, m)) - 1.0)
+        levels = spec.amplitude * (2.0 * rng.integers(0, 2, size=(n_plateaus, 1)) - 1.0)
     return np.repeat(levels, spec.hold, axis=0)[:L]
 
 
@@ -365,7 +366,7 @@ def simulate(
     if isinstance(inputs, InputSignal):
         if L is None:
             raise ValueError("L is required when inputs is an InputSignal")
-        u_table = make_input(inputs, L, m=1)
+        u_table = make_input(inputs, L)
     else:
         u_table = np.asarray(inputs, dtype=float)
         if u_table.ndim == 1:
@@ -422,21 +423,16 @@ class DissipationReport:
         return not self.violations
 
 
-def check_dissipation(
-    traj: TrajectoryData, params: MsdParams, tol: float | None = None
-) -> DissipationReport:
+def check_dissipation(traj: TrajectoryData, params: MsdParams) -> DissipationReport:
     """Check S(x_{j+1}) - S(x_j) <= u_j' (y_{j+1} - y_j) + tol along a trajectory.
 
     The continuous inequality only holds up to discretization error, so the
-    default tolerance is relative: TOL.dissipation_rel * max |S|.
+    tolerance is relative: tol = TOL.dissipation_rel * max |S|.
     Violations are collected, not raised.
     """
-    from .tolerances import TOL
-
     storage = np.array([storage_value(params, x) for x in traj.states])
     max_storage = float(np.max(np.abs(storage)))
-    if tol is None:
-        tol = TOL.dissipation_rel * max_storage
+    tol = TOL.dissipation_rel * max_storage
     supply = np.sum(traj.inputs * np.diff(traj.outputs, axis=0), axis=1)
     gaps = np.diff(storage) - supply
     violations = tuple(

@@ -14,10 +14,12 @@ convex program over (P, Q, B_d) with Q = A_d P:
 whose constraint is the Schur form of P >= alpha I and
 A_d P A_d' - P <= -alpha I.  The data enter only through (G_A, G_B): with
 [Theta; Omega] full row rank, the residual against the snapshots collapses
-to the expression above.  B_d appears in no constraint, so its
-block minimizes at G_B independently; a strict mode instead recomputes B_d
-from the NI state-space equality after A_d and C_d are fixed, re-selecting
-the certificate P inside its feasible set so the equality matches the data.
+to the expression above.  B_d appears in no constraint, so its block
+minimizes at G_B independently, and :func:`solve_ni` solves the (P, Q)
+program in G_A alone.  :func:`identify_ni` takes B_d = G_B, or, in strict
+mode, recomputes B_d from the NI state-space equality after A_d and C_d are
+fixed, re-selecting the certificate P inside its feasible set so the
+equality matches the data.
 
 The semidefinite program is solved by a dense ADMM: an exact quadratic
 X-update in (P, Q) (assembled once per step size, applied via a cached
@@ -141,31 +143,11 @@ def _balance_factor(iterations: int, primal: float, dual: float, rho: float) -> 
 
 
 @dataclass(frozen=True)
-class NiProgram:
-    """Convex NI-constrained program instance plus solver configuration."""
-
-    G_A: np.ndarray
-    G_B: np.ndarray
-    alpha: float = 1e-3
-    max_iters: int = 20000
-    tol: float = TOL.admm_rel
-
-    def __post_init__(self):
-        object.__setattr__(self, "G_A", np.atleast_2d(np.asarray(self.G_A, dtype=float)))
-        object.__setattr__(self, "G_B", np.atleast_2d(np.asarray(self.G_B, dtype=float)))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-
-
-@dataclass(frozen=True)
 class NiProgramSolution:
     """Solver output: certificate variables, recovered dynamics, diagnostics."""
 
     P: np.ndarray
     Q: np.ndarray
-    B_d: np.ndarray
     A_d: np.ndarray
     iterations: int
     primal_res: float
@@ -192,8 +174,13 @@ def _lmi_block(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def solve_ni(prog: NiProgram) -> NiProgramSolution:
-    """ADMM on the Schur-form NI program.
+def solve_ni(
+    G_A: np.ndarray,
+    alpha: float = 1e-3,
+    max_iters: int = 20000,
+    tol: float = TOL.admm_rel,
+) -> NiProgramSolution:
+    """ADMM on the Schur-form NI program for the least-squares dynamics G_A.
 
     Splitting: X = (P, Q) with the smooth objective, Z the PSD copy of the
     block matrix S(X) = [[P - alpha I, Q], [Q', P]], scaled dual U.  The
@@ -203,13 +190,21 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     and P is nudged along the identity afterwards if round-off left the block
     marginally indefinite (the identity shift moves S(X) by exactly delta I).
 
-    Never raises on slow convergence; the returned ``converged`` flag and
-    residuals describe the stop.  B_d is G_B by construction.
+    The run stops when both residuals are within ``tol`` times the block
+    scale, or after ``max_iters`` iterations.  Never raises on slow
+    convergence; the returned ``converged`` flag and residuals describe the
+    stop.
 
     Raises:
+        ValueError: alpha not positive or max_iters below 1.
         SingularPError: P numerically singular when recovering A_d = Q P^-1.
     """
-    G_A, alpha, rho = prog.G_A, prog.alpha, RHO_INIT
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    G_A = np.atleast_2d(np.asarray(G_A, dtype=float))
+    rho = RHO_INIT
     N = G_A.shape[0]
     eye = np.eye(N)
     G_C = np.ascontiguousarray(G_A)  # G_A may be a column slice of [G_A G_B]
@@ -236,7 +231,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     primal = dual = np.inf
     iterations = 0
     converged = False
-    for iterations in range(1, prog.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         M = Z - U
         M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
         cross = GtV @ M12
@@ -256,7 +251,7 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
         U += step
         Z = Z_new
         scale = max(1.0, _fro(SX), _fro(Z))
-        if primal <= prog.tol * scale and dual <= prog.tol * scale:
+        if primal <= tol * scale and dual <= tol * scale:
             converged = True
             break
         factor = _balance_factor(iterations, primal, dual, rho)
@@ -280,7 +275,6 @@ def solve_ni(prog: NiProgram) -> NiProgramSolution:
     return NiProgramSolution(
         P=P,
         Q=Q,
-        B_d=prog.G_B.copy(),
         A_d=A_d,
         iterations=iterations,
         primal_res=primal,
@@ -460,8 +454,8 @@ def identify_ni(
         raise RankDeficientError(
             f"[Theta; Omega] row-rank deficient (Gram eigs {eigs[-1]:.3e} vs {eigs[0]:.3e})"
         )
-    ni = solve_ni(NiProgram(G_A=sol.G_A, G_B=sol.G_B, alpha=cfg.alpha, max_iters=cfg.max_iters))
-    B_d = ni.B_d
+    ni = solve_ni(sol.G_A, alpha=cfg.alpha, max_iters=cfg.max_iters)
+    B_d = sol.G_B
     if cfg.strict_b:
         comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, cfg.alpha)
         B_d = comp.B_d
@@ -472,7 +466,6 @@ def identify_ni(
             ni,
             P=comp.P,
             Q=Q,
-            B_d=B_d,
             objective=objective(sol.G_A, comp.P, Q),
             lmi_min_eig=float(
                 matcore.sym_eig(_lmi_block(comp.P, Q, cfg.alpha)).eigenvalues[-1]

@@ -75,16 +75,7 @@ class LiftingDictionary:
 
     def lift(self, x) -> np.ndarray:
         """Lift a single state vector to length ``size``."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.n:
-            raise DimensionMismatchError(f"state has length {x.size}, expected {self.n}")
-        z = self._normalize(x)
-        out = np.empty(self.size)
-        out[: self.n] = z
-        if self.n_rbf:
-            d = np.linalg.norm(z[None, :] - self.centers, axis=1)
-            out[self.n :] = _thin_plate(d)
-        return out
+        return self.lift_columns(np.ravel(x)[None, :])[:, 0]
 
     def lift_columns(self, states: np.ndarray) -> np.ndarray:
         """Lift each row of (K, n) ``states``; returns (size, K) columns."""
@@ -135,14 +126,12 @@ def _thin_plate(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_centers(
-    n: int, n_rbf: int, box, seed: int = 0, min_separation: float = 1e-9
-) -> LiftingDictionary:
+def sample_centers(n: int, n_rbf: int, box, seed: int = 0) -> LiftingDictionary:
     """Draw ``n_rbf`` distinct centers uniformly from a per-dimension box.
 
-    ``box`` is (n, 2) rows of [low, high].  Draws closer than
-    ``min_separation`` to an accepted center are rejected and redrawn, so
-    the result is deterministic given the seed.
+    ``box`` is (n, 2) rows of [low, high].  Draws closer than 1e-9 to an
+    accepted center are rejected and redrawn, so the result is deterministic
+    given the seed.
     """
     box = np.asarray(box, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(box)):
@@ -152,7 +141,7 @@ def sample_centers(
     attempts = 0
     while len(accepted) < n_rbf:
         c = rng.uniform(box[:, 0], box[:, 1])
-        if all(np.linalg.norm(c - a) >= min_separation for a in accepted):
+        if all(np.linalg.norm(c - a) >= 1e-9 for a in accepted):
             accepted.append(c)
         attempts += 1
         if attempts > 1000 * max(n_rbf, 1):
@@ -161,17 +150,17 @@ def sample_centers(
     return LiftingDictionary(n=n, centers=centers)
 
 
-def state_box(states: np.ndarray, inflate: float = 0.1) -> np.ndarray:
+def state_box(states: np.ndarray) -> np.ndarray:
     """Empirical min/max box of training states, inflated symmetrically.
 
-    Zero-width dimensions are widened to +/- inflate so the box never
-    degenerates.
+    Each side moves out by 5% of the width; zero-width dimensions are
+    widened to +/- 0.1 so the box never degenerates.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     lo = states.min(axis=0)
     hi = states.max(axis=0)
     width = np.maximum(hi - lo, 0.0)
-    pad = np.where(width > 0, 0.5 * inflate * width, inflate if inflate > 0 else 1.0)
+    pad = np.where(width > 0, 0.05 * width, 0.1)
     return np.stack([lo - pad, hi + pad], axis=1)
 
 
@@ -180,7 +169,6 @@ def make_dictionary(
     n_rbf: int,
     seed: int = 0,
     normalize: bool = False,
-    inflate: float = 0.1,
 ) -> LiftingDictionary:
     """Build a dictionary for a trajectory: box from data, centers by seed.
 
@@ -194,7 +182,7 @@ def make_dictionary(
         scale = states.std(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
         states = (states - mean) / scale
-    base = sample_centers(traj.n, n_rbf, state_box(states, inflate), seed=seed)
+    base = sample_centers(traj.n, n_rbf, state_box(states), seed=seed)
     return LiftingDictionary(n=traj.n, centers=base.centers, mean=mean, scale=scale)
 
 

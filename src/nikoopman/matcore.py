@@ -95,14 +95,13 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def pinv(a: np.ndarray, rcond: float = TOL.pinv_rcond) -> np.ndarray:
+def pinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
-    Singular values below ``rcond`` times the largest are treated as zero.
+    Singular values below ``TOL.pinv_rcond`` times the largest are treated as
+    zero.
     """
-    if rcond <= 0:
-        raise ValueError(f"rcond must be positive, got {rcond}")
-    return np.linalg.pinv(np.atleast_2d(np.asarray(a, dtype=float)), rcond=rcond)
+    return np.linalg.pinv(np.atleast_2d(np.asarray(a, dtype=float)), rcond=TOL.pinv_rcond)
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

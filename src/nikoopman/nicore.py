@@ -165,8 +165,9 @@ class NiResiduals:
     """Numeric evidence for the discrete NI certificate with a given P.
 
     lyap_max_eig: lambda_max(A_d P A_d' - P); must be <= tol.
-    b_eq_gap: Frobenius gap in the B_d equality; enforced in strict mode.
+    b_eq_gap: Frobenius gap in the B_d equality; must be <= tol.
     p_min_eig: lambda_min(P); must be >= -tol.
+    certified: all three hold, with tol = ``TOL.ni_residual``.
     """
 
     lyap_max_eig: float
@@ -175,13 +176,13 @@ class NiResiduals:
     certified: bool
 
 
-def discrete_ni_residuals(
-    mdl: DiscreteLinearModel,
-    P: np.ndarray,
-    tol: float = TOL.ni_residual,
-    strict: bool = False,
-) -> NiResiduals:
-    """Evaluate the discrete NI conditions for a candidate certificate P."""
+def discrete_ni_residuals(mdl: DiscreteLinearModel, P: np.ndarray) -> NiResiduals:
+    """Evaluate the discrete NI conditions for a candidate certificate P.
+
+    The model is certified NI when P is positive semidefinite, the Lyapunov
+    inequality holds and B_d meets the NI equality, each within
+    ``TOL.ni_residual``.
+    """
     P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
     if P.shape != mdl.A.shape:
         raise ValueError(f"P shape {P.shape} does not match A {mdl.A.shape}")
@@ -192,7 +193,8 @@ def discrete_ni_residuals(
         (np.eye(mdl.order) + mdl.A).T, mdl.C.T
     )
     b_gap = float(np.linalg.norm(mdl.B - b_target))
-    certified = lyap_max <= tol and p_min >= -tol and (not strict or b_gap <= tol)
+    tol = TOL.ni_residual
+    certified = lyap_max <= tol and p_min >= -tol and b_gap <= tol
     return NiResiduals(lyap_max_eig=lyap_max, b_eq_gap=b_gap, p_min_eig=p_min, certified=certified)
 
 
@@ -265,10 +267,9 @@ class FrequencyNiCheck:
 def ni_frequency_check(
     c: ContinuousLinearModel,
     omegas: np.ndarray | None = None,
-    tol: float = TOL.ni_freq,
     response: np.ndarray | None = None,
 ) -> FrequencyNiCheck:
-    """Grid-based NI test: lambda_min(j(G(jw) - G(jw)*)) >= -tol for all w > 0.
+    """Grid-based NI test: lambda_min(j(G(jw) - G(jw)*)) >= -TOL.ni_freq for all w > 0.
 
     For SISO models the tested quantity reduces to -2 Im G(jw), so the
     verdict matches the phase-in-(-180, 0) reading.  Necessary, not
@@ -289,7 +290,9 @@ def ni_frequency_check(
     eig_min = np.linalg.eigvalsh(1j * (G - G.conj().transpose(0, 2, 1))).min(axis=1)
     k = int(np.argmin(eig_min))
     worst, worst_w = float(eig_min[k]), float(omegas[k])
-    return FrequencyNiCheck(min_eig_over_grid=worst, worst_omega=worst_w, is_ni=worst >= -tol)
+    return FrequencyNiCheck(
+        min_eig_over_grid=worst, worst_omega=worst_w, is_ni=worst >= -TOL.ni_freq
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +443,3 @@ def bode_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude in dB and phase in degrees of transfer values G(jw)."""
     mags = 20.0 * np.log10(np.maximum(np.abs(G), np.finfo(float).tiny))
     return mags, np.degrees(np.angle(G))
-
-
-def bode_rows(c: ContinuousLinearModel, omegas: np.ndarray) -> list[tuple[float, float, float]]:
-    """(omega, mag_db, phase_deg) rows for the (0, 0) transfer entry."""
-    mags, phases = bode_columns(freq_response(c, omegas)[:, 0, 0])
-    return [(float(w), float(m), float(p)) for w, m, p in zip(omegas, mags, phases)]

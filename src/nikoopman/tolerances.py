@@ -28,10 +28,8 @@ class Tolerances:
     solve_pivot: float = 1e-12  # singularity threshold, relative to ||A||_inf
 
     # model transforms and NI checks
-    bilinear_roundtrip: float = 1e-10
     ni_freq: float = 1e-8  # grid NI verdict: min eig of j(G - G*) >= -tol
     ni_residual: float = 1e-6  # discrete LMI certificate tolerance
-    lmi_feas: float = 1e-8  # lambda_min of the Schur block at the solution
 
     # identification
     admm_rel: float = 1e-7  # solve_ni primal/dual residual stop, relative

@@ -129,19 +129,17 @@ def test_criterion_3_closed_loop(scenario):
 @pytest.mark.parametrize("g", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
 def test_criterion_4_scalar_oracle(g):
     boundary = abs(abs(g) - 1.0) < 1e-12  # infimum chased along p -> inf
-    prog = identify.NiProgram(
-        G_A=[[g]], G_B=[[0.0]], alpha=1.0,
-        max_iters=600000 if boundary else 20000,
-        tol=1e-8 if boundary else 1e-7,
+    tol = 1e-8 if boundary else 1e-7
+    sol = identify.solve_ni(
+        [[g]], alpha=1.0, max_iters=600000 if boundary else 20000, tol=tol
     )
-    sol = identify.solve_ni(prog)
     oracle_val, _, _ = scalar_ni_grid_minimum(g, alpha=1.0)
     gap = abs(sol.objective - oracle_val)
     assert gap <= 1e-3
     if sol.converged:
         scale = max(1.0, float(np.linalg.norm(sol.P)) * 3.0)
-        assert sol.primal_res <= prog.tol * scale
-        assert sol.dual_res <= prog.tol * scale
+        assert sol.primal_res <= tol * scale
+        assert sol.dual_res <= tol * scale
     radius = float(np.max(np.abs(np.linalg.eigvals(sol.A_d))))
     assert radius <= 1.0 + 1e-3
     print(
@@ -245,7 +243,7 @@ def test_criterion_6_exact_recovery():
     Ad_exact = scipy.linalg.expm(T_SAMPLE * aug)[:2, :2]
     err = np.linalg.norm(res.model.A - Ad_exact)
     assert err <= 1e-3
-    resid = nicore.discrete_ni_residuals(res.model, res.ni.P, strict=True)
+    resid = nicore.discrete_ni_residuals(res.model, res.ni.P)
     assert resid.certified
     chk = nicore.ni_frequency_check(nicore.to_continuous(res.model))
     assert chk.is_ni

@@ -408,12 +408,23 @@ def test_solve_ni_matches_weighted_admm(readme_train, n_rbf):
     # 3,000 iterations of the README program: not converged, with step-size changes
     dictionary = lifting.make_dictionary(readme_train, n_rbf=n_rbf, seed=0)
     sol = identify.edmd_fit(lifting.build_matrices(readme_train, dictionary))
-    got = identify.solve_ni(
-        identify.NiProgram(G_A=sol.G_A, G_B=sol.G_B, alpha=1e-5, max_iters=3000)
-    )
+    got = identify.solve_ni(sol.G_A, alpha=1e-5, max_iters=3000)
     want = solve_ni_weighted(sol.G_A, 1e-5, 3000, identify.TOL.admm_rel)
     assert want["rho_changes"] >= 1 and not want["converged"]
     for key in ("P", "Q", "A_d"):
         assert np.array_equal(getattr(got, key), want[key]), key
     for key in ("iterations", "primal_res", "dual_res", "objective", "lmi_min_eig", "converged"):
         assert getattr(got, key) == want[key], key
+
+
+def test_solve_ni_matches_weighted_admm_at_checkpoints(readme_train):
+    # the iterate path after every iteration count in 1..60, where one ulp in
+    # a residual norm would show before it can flip a step-size decision
+    dictionary = lifting.make_dictionary(readme_train, n_rbf=6, seed=0)
+    sol = identify.edmd_fit(lifting.build_matrices(readme_train, dictionary))
+    for max_iters in range(1, 61):
+        got = identify.solve_ni(sol.G_A, alpha=1e-5, max_iters=max_iters)
+        want = solve_ni_weighted(sol.G_A, 1e-5, max_iters, identify.TOL.admm_rel)
+        assert got.primal_res == want["primal_res"], max_iters
+        assert got.dual_res == want["dual_res"], max_iters
+        assert np.array_equal(got.P, want["P"]), max_iters

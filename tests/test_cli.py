@@ -264,6 +264,38 @@ def test_validate_grid_on_pole_exit_two(linear_traj_file, tmp_path, capsys):
     assert not (tmp_path / "val").exists()  # nothing written, no partial report
 
 
+@pytest.mark.parametrize("ppf", [None, "0.5,0.7,2"], ids=["open-loop", "ppf"])
+def test_validate_isolates_model_without_bilinear_image(linear_traj_file, tmp_path, ppf):
+    # A_d with an eigenvalue at -1 has no continuous image: that model gets an
+    # error entry and empty cells, and the other model's columns are unchanged
+    plain = tmp_path / "plain.json"
+    assert run(["identify", "--traj", str(linear_traj_file), "--nrbf", "2",
+                "--mode", "unconstrained", "--out", str(plain)]) == 0
+    payload = json.loads(plain.read_text())
+    payload["A"][0] = [-1.0] + [0.0] * (len(payload["A"]) - 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    extra = [] if ppf is None else ["--ppf", ppf]
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    assert run(["validate", "--models", str(plain), "--traj", str(linear_traj_file),
+                "--out-dir", str(alone), *extra]) == 0
+    assert run(["validate", "--models", f"{plain},{bad}", "--traj", str(linear_traj_file),
+                "--out-dir", str(both), *extra]) == 0
+    report = json.loads((both / "report.json").read_text())
+    assert "error" not in report["models"][0]
+    assert report["models"][1]["error"].startswith("SingularAtMinusOneError")
+    names = ["bode.csv", "nyquist.csv", "timeseries.csv"] + ([] if ppf is None else ["step.csv"])
+    for name in names:
+        want = (alone / name).read_text().splitlines()[1:]
+        got = (both / name).read_text().splitlines()[1:]
+        assert len(got) == len(want), name
+        for row_got, row_want in zip(got, want):
+            width = len(row_want.split(","))
+            cells = row_got.split(",")
+            assert ",".join(cells[:width]) == row_want, name
+            assert all(c == "" for c in cells[width:]), name
+
+
 def test_full_pipeline_byte_determinism(tmp_path):
     # identical commands, run twice onto the same paths: every output byte
     # must reproduce

@@ -157,8 +157,7 @@ def test_reduce_cost_rank_deficient():
 def test_solve_ni_feasible_unconstrained_optimum():
     # (P, Q) = (c I, 0.5 c I) is feasible for c >= 4 alpha / 3, so the
     # program attains zero objective and returns A_d = G_A
-    prog = identify.NiProgram(G_A=0.5 * np.eye(3), G_B=np.zeros((3, 1)))
-    sol = identify.solve_ni(prog)
+    sol = identify.solve_ni(0.5 * np.eye(3))
     assert sol.converged
     assert sol.objective <= 1e-10
     assert np.linalg.norm(sol.A_d - 0.5 * np.eye(3)) <= 1e-5
@@ -166,8 +165,7 @@ def test_solve_ni_feasible_unconstrained_optimum():
 
 
 def test_solve_ni_contracts_unstable_target():
-    prog = identify.NiProgram(G_A=2.0 * np.eye(3), G_B=np.zeros((3, 1)), alpha=1.0)
-    sol = identify.solve_ni(prog)
+    sol = identify.solve_ni(2.0 * np.eye(3), alpha=1.0)
     assert sol.converged
     assert sol.objective > 0.1
     assert np.max(np.abs(np.linalg.eigvals(sol.A_d))) <= 1.0 + 1e-3
@@ -176,8 +174,7 @@ def test_solve_ni_contracts_unstable_target():
 
 @pytest.mark.parametrize("g", [-2.0, 0.0, 0.5, 2.0])
 def test_solve_ni_scalar_matches_grid_oracle(g):
-    prog = identify.NiProgram(G_A=[[g]], G_B=[[0.0]], alpha=1.0)
-    sol = identify.solve_ni(prog)
+    sol = identify.solve_ni([[g]], alpha=1.0)
     oracle_val, _, _ = scalar_ni_grid_minimum(g, alpha=1.0)
     assert sol.converged
     assert abs(sol.objective - oracle_val) <= 1e-3
@@ -187,15 +184,16 @@ def test_solve_ni_lyapunov_consequence():
     # the Schur block implies A_d P A_d' <= P - alpha I with the solver's P
     rng = np.random.default_rng(11)
     G_A = rng.normal(size=(4, 4)) * 0.4
-    prog = identify.NiProgram(G_A=G_A, G_B=rng.normal(size=(4, 1)), alpha=1e-3)
-    sol = identify.solve_ni(prog)
+    sol = identify.solve_ni(G_A, alpha=1e-3)
     lyap = matcore.sym_eig(sol.A_d @ sol.P @ sol.A_d.T - sol.P).eigenvalues[0]
     assert lyap <= 1e-6 * max(1.0, np.linalg.norm(sol.P))
 
 
 def test_solve_ni_validation():
-    with pytest.raises(ValueError):
-        identify.NiProgram(G_A=np.eye(2), G_B=np.zeros((2, 1)), alpha=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        identify.solve_ni(np.eye(2), alpha=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        identify.solve_ni(np.eye(2), max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def test_identify_linear_ground_truth():
 
     Ad_exact = scipy.linalg.expm(0.01 * aug)[:2, :2]
     assert np.linalg.norm(res.model.A - Ad_exact) <= 1e-3
-    resid = nicore.discrete_ni_residuals(res.model, res.ni.P, strict=True)
+    resid = nicore.discrete_ni_residuals(res.model, res.ni.P)
     assert resid.certified
     assert resid.b_eq_gap <= 1e-9
     chk = nicore.ni_frequency_check(nicore.to_continuous(res.model))

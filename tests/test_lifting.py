@@ -170,6 +170,6 @@ def test_shift_property():
 
 def test_state_box_inflation():
     states = np.array([[0.0, -1.0], [2.0, 1.0]])
-    box = lifting.state_box(states, inflate=0.1)
+    box = lifting.state_box(states)
     assert np.allclose(box[0], [-0.1, 2.1])
     assert np.allclose(box[1], [-1.1, 1.1])

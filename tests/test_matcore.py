@@ -147,11 +147,6 @@ def test_pinv_penrose_identities_all_ranks(shape):
         assert np.linalg.norm((p @ a).T - p @ a) <= TOL.penrose
 
 
-def test_pinv_rejects_bad_rcond():
-    with pytest.raises(ValueError):
-        matcore.pinv(np.eye(2), rcond=0.0)
-
-
 # ---------------------------------------------------------------------------
 # solve / csolve
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ def test_residuals_isometry():
     assert abs(res.lyap_max_eig) <= 1e-12
 
 
-def test_residuals_b_equality_strict_mode():
-    # build B_d to satisfy the equality exactly, then certify strictly
+def test_residuals_b_equality():
+    # build B_d to satisfy the equality exactly, then certify
     rng = np.random.default_rng(3)
     a = 0.5 * np.eye(3) + 0.05 * rng.normal(size=(3, 3))
     c = rng.normal(size=(1, 3))
@@ -125,9 +125,14 @@ def test_residuals_b_equality_strict_mode():
     T = 0.1
     b = -(1.0 / T) * (a - np.eye(3)) @ P @ np.linalg.solve((np.eye(3) + a).T, c.T)
     d = DiscreteLinearModel(A=a, B=b, C=c, D=np.zeros((1, 1)), T=T)
-    res = nicore.discrete_ni_residuals(d, P, strict=True)
+    res = nicore.discrete_ni_residuals(d, P)
     assert res.b_eq_gap <= 1e-12
     assert res.certified
+    # the Lyapunov half alone does not certify: a B off the equality fails
+    off = DiscreteLinearModel(A=a, B=b + 1e-3, C=c, D=np.zeros((1, 1)), T=T)
+    res = nicore.discrete_ni_residuals(off, P)
+    assert res.lyap_max_eig < 0 and res.p_min_eig > 0
+    assert res.b_eq_gap > 1e-6 and not res.certified
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +378,8 @@ def test_model_json_round_trip(tmp_path):
         assert np.array_equal(got, want)
 
 
-def test_bode_and_nyquist_rows():
+def test_bode_columns():
     c = ContinuousLinearModel(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
-    rows = nicore.bode_rows(c, np.array([1.0]))
-    w, mag_db, phase = rows[0]
-    assert w == 1.0
-    assert mag_db == pytest.approx(20 * np.log10(1 / np.sqrt(2)))
-    assert phase == pytest.approx(-45.0)
+    mag_db, phase = nicore.bode_columns(nicore.freq_response(c, [1.0])[:, 0, 0])
+    assert mag_db[0] == pytest.approx(20 * np.log10(1 / np.sqrt(2)))
+    assert phase[0] == pytest.approx(-45.0)
