@@ -162,11 +162,6 @@ class CandidateModel:
         if (self.discrete is None) == (self.continuous is None):
             raise ValueError("provide exactly one of discrete/continuous")
 
-    def to_continuous(self) -> ContinuousLinearModel:
-        if self.continuous is not None:
-            return self.continuous
-        return nicore.to_continuous(self.discrete)
-
 
 @dataclass(frozen=True)
 class ClosedLoopVerdict:
@@ -193,8 +188,7 @@ class ModelReport:
     dc_gain: float | None = None
     closed_loop: ClosedLoopVerdict | None = None
     predicted_states: np.ndarray | None = field(default=None, repr=False)
-    # the continuous image and its open-loop G(jw) on the grid, not saved
-    continuous: ContinuousLinearModel | None = field(default=None, repr=False)
+    # the open-loop G(jw) of the continuous image on the grid, not saved
     response: np.ndarray | None = field(default=None, repr=False)
     error: str | None = None
 
@@ -261,10 +255,9 @@ def evaluate_model(
 ) -> ModelReport:
     """Predictions, NI evidence and closed-loop verdict for one candidate.
 
-    The continuous image and its open-loop response on the positive
-    frequencies of ``omegas`` (computed once, for the NI check) are kept in
-    the report's ``continuous`` and ``response``, the closed loop in its
-    ``closed_loop.loop``.
+    The open-loop response of the continuous image on the positive
+    frequencies of ``omegas`` (computed once, for the NI check) is kept in
+    the report's ``response``, the closed loop in its ``closed_loop.loop``.
     """
     x0 = reference.states[0]
     if entry.discrete is not None:
@@ -276,7 +269,9 @@ def evaluate_model(
         outputs_pred = states_pred @ entry.continuous.C.T
     mse_states = mse(reference.states, states_pred)
     mse_outputs = mse(reference.outputs, outputs_pred)
-    cont = entry.to_continuous()
+    cont = entry.continuous
+    if cont is None:
+        cont = nicore.to_continuous(entry.discrete)
     if omegas is None:
         omegas = nicore.default_frequency_grid()
     omegas = np.asarray(omegas, dtype=float)
@@ -296,7 +291,6 @@ def evaluate_model(
         dc_gain=gain,
         closed_loop=closed,
         predicted_states=states_pred,
-        continuous=cont,
         response=response,
     )
 
@@ -310,12 +304,16 @@ def compare_models(
 ) -> ValidationReport:
     """Evaluate every candidate against a reference trajectory.
 
-    One model failing is recorded in its entry and does not abort the rest.
+    One model failing is recorded in its entry and does not abort the rest,
+    except for a grid frequency on a pole of a model: that is a fault of the
+    grid, not of the model, and ``nicore.PoleOnGridError`` propagates.
     """
     reports = []
     for entry in models:
         try:
             reports.append(evaluate_model(entry, reference, ctrl, omegas))
+        except nicore.PoleOnGridError:
+            raise
         except Exception as exc:  # per-model isolation
             reports.append(ModelReport(name=entry.name, error=f"{type(exc).__name__}: {exc}"))
     return ValidationReport(models=tuple(reports), provenance=provenance or {})

@@ -70,7 +70,6 @@ def _msd_from_args(args) -> dynamics.MsdParams:
 
 
 def _add_plant_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", default="msd", choices=["msd"])
     p.add_argument("--m", type=float, default=1.0, help="mass")
     p.add_argument("--k1", type=float, default=1.0, help="linear spring coefficient")
     p.add_argument("--k3", type=float, default=1.0, help="cubic spring coefficient")
@@ -92,7 +91,7 @@ def cmd_simulate(args) -> int:
         return EXIT_SIMULATION
     cfg = _config_json(
         args,
-        ["system", "m", "k1", "k3", "b0", "b1", "b2", "x0", "input",
+        ["m", "k1", "k3", "b0", "b1", "b2", "x0", "input",
          "amplitude", "hold", "T", "steps", "seed"],
     )
     traj.save_csv(args.out, extra_comments=[f"config={json.dumps(cfg, sort_keys=True)}"])
@@ -106,13 +105,9 @@ def cmd_identify(args) -> int:
         print(f"error: trajectory file {path} not found", file=sys.stderr)
         return EXIT_USAGE
     traj = dynamics.TrajectoryData.load_csv(path)
-    dictionary = lifting.make_dictionary(
-        traj, n_rbf=args.nrbf, seed=args.center_seed, normalize=args.normalize
-    )
+    dictionary = lifting.make_dictionary(traj, n_rbf=args.nrbf, seed=args.center_seed)
     cfg_json = _config_json(
-        args,
-        ["traj", "nrbf", "center_seed", "alpha", "mode", "strict_b",
-         "normalize", "max_iters"],
+        args, ["traj", "nrbf", "center_seed", "alpha", "mode", "strict_b", "max_iters"]
     )
     exit_code = EXIT_OK
     if args.mode == "unconstrained":
@@ -159,7 +154,7 @@ def cmd_linearize(args) -> int:
     cont = analysis.linearize_msd(params, x0)
     disc = nicore.to_discrete(cont, args.T)
     cfg_json = _config_json(
-        args, ["system", "m", "k1", "k3", "b0", "b1", "b2", "x0", "T"]
+        args, ["m", "k1", "k3", "b0", "b1", "b2", "x0", "T"]
     )
     nicore.save_model(args.out, disc, config=cfg_json, continuous=cont)
     print(f"wrote {args.out}")
@@ -208,37 +203,31 @@ def cmd_validate(args) -> int:
         report = analysis.compare_models(
             reference, candidates, ctrl=ctrl, omegas=omegas, provenance=cfg_json
         )
+    except nicore.PoleOnGridError:
+        raise  # a usage error (exit 2), raised before anything is written
     except Exception as exc:
         print(f"error: validation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     # every column is built before the output directory is made, so a grid
-    # frequency on a pole (exit 2) leaves nothing behind
+    # frequency on a pole of a closed loop (exit 2) leaves nothing behind
     names = [c.name for c in candidates]
 
     # open-loop Bode, open- or closed-loop Nyquist and closed-loop step
-    # columns from the continuous image, response and loop that evaluate_model
-    # built; for a model that failed before that they are built here, and a
-    # model without a bilinear image gets empty cells
+    # columns from the response and loop that evaluate_model built; a model
+    # that failed gets empty cells in every CSV
     steps = int(args.steps)
     bode, nyquist, step = [omegas], [omegas], [reference.T * np.arange(steps + 1)]
-    for cand, rep in zip(candidates, report.models):
-        cont, G = rep.continuous, rep.response
-        loop = rep.closed_loop.loop if rep.closed_loop is not None else None
-        if cont is None:
-            try:
-                cont = cand.to_continuous()
-            except nicore.SingularAtMinusOneError:
-                bode += [(), ()]
-                nyquist += [(), ()]
-                step.append(())
-                continue
-            G = nicore.freq_response(cont, omegas)
-        G = G[:, 0, 0]
+    for rep in report.models:
+        if rep.error is not None:
+            bode += [(), ()]
+            nyquist += [(), ()]
+            step.append(())
+            continue
+        G = rep.response[:, 0, 0]
         bode += nicore.bode_columns(G)
         if ctrl is not None:
-            if loop is None:
-                loop = nicore.positive_feedback(cont, nicore.ppf_realize(ctrl)).model
+            loop = rep.closed_loop.loop
             G = nicore.freq_response(loop, omegas)[:, 0, 0]
             # a diverged step response ends early with empty cells
             step.append(analysis.step_response(loop, reference.T, steps).outputs[:, 0])
@@ -298,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="ni", choices=["ni", "unconstrained"])
     p.add_argument("--strict-b", action="store_true", dest="strict_b",
                    help="recompute B from the NI equality (full certificate)")
-    p.add_argument("--normalize", action="store_true", help="z-score states before lifting")
     p.add_argument("--max-iters", type=int, default=20000, dest="max_iters")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_identify)

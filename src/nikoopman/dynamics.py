@@ -10,17 +10,15 @@ S = m zdot^2 / 2 + k1 z^2 / 2 + k3 z^4 / 4 dissipates at a rate bounded by
 the force-times-velocity supply, which is the nonlinear negative-imaginary
 inequality checked by :func:`check_dissipation`.
 
-Simulation is classical RK4 with zero-order-hold inputs between samples;
-a generic ``f(x, u) -> dx/dt`` callable is accepted in place of the
-mass-spring-damper for ad-hoc plants.
+Simulation is classical RK4 with zero-order-hold inputs between samples,
+at most ``MAX_STEP`` seconds per internal step.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,16 +54,8 @@ class MsdParams:
         if min(self.b0, self.b1, self.b2) < 0:
             raise ValueError("damping coefficients must be nonnegative")
 
-    def spring(self, z: float) -> float:
-        return self.k1 * z + self.k3 * z**3
-
     def damping(self, z: float, zdot: float) -> float:
         return self.b0 + self.b1 * z**2 + self.b2 * zdot**2
-
-    def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        z, zdot = x
-        acc = (-self.spring(z) - self.damping(z, zdot) * zdot + u[0]) / self.m
-        return np.array([zdot, acc])
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,8 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         if self.hold < 1:
             raise ValueError("hold must be at least 1")
 
@@ -150,9 +140,6 @@ class TrajectoryData:
     states: np.ndarray  # (L+1, n)
     inputs: np.ndarray  # (L, m)
     outputs: np.ndarray  # (L+1, l)
-    state_labels: tuple[str, ...] = field(default=())
-    input_labels: tuple[str, ...] = field(default=())
-    output_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -173,18 +160,6 @@ class TrajectoryData:
         for arr, name in ((states, "states"), (inputs, "inputs"), (outputs, "outputs")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contain non-finite values")
-        if not self.state_labels:
-            object.__setattr__(
-                self, "state_labels", tuple(f"x{i+1}" for i in range(states.shape[1]))
-            )
-        if not self.input_labels:
-            object.__setattr__(
-                self, "input_labels", tuple(f"u{i+1}" for i in range(inputs.shape[1]))
-            )
-        if not self.output_labels:
-            object.__setattr__(
-                self, "output_labels", tuple(f"y{i+1}" for i in range(outputs.shape[1]))
-            )
 
     @property
     def L(self) -> int:
@@ -206,31 +181,24 @@ class TrajectoryData:
     def times(self) -> np.ndarray:
         return self.T * np.arange(self.L + 1)
 
-    def _write_csv(self, fh, extra_comments: Sequence[str]) -> None:
-        fh.write(f"# T={self.T!r}\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        header = ["t", *self.state_labels, *self.input_labels, *self.output_labels]
-        write_csv(fh, header, [self.times, *self.states.T, *self.inputs.T, *self.outputs.T])
-
-    def to_csv(self, extra_comments: Sequence[str] = ()) -> str:
-        """Serialize to CSV: comment lines, header, one row per sample.
-
-        Input columns are empty on the final row (no step L -> L+1).
-        Values carry 12+ significant digits so reloads are lossless at
-        working precision.
-        """
-        buf = io.StringIO()
-        self._write_csv(buf, extra_comments)
-        return buf.getvalue()
-
     def save_csv(self, path, extra_comments: Sequence[str] = ()) -> None:
+        """Write ``# T=``, the comment lines, a header and one row per sample.
+
+        The header is always ``t,x1..xn,u1..um,y1..yl``.  Input columns are
+        empty on the final row (no step L -> L+1).  Values carry 12+
+        significant digits so reloads are lossless at working precision.
+        """
+        header = ["t"] + [f"{prefix}{i + 1}" for prefix, count in
+                          (("x", self.n), ("u", self.m), ("y", self.l)) for i in range(count)]
         with open(path, "w") as fh:
-            self._write_csv(fh, extra_comments)
+            fh.write(f"# T={self.T!r}\n")
+            for line in extra_comments:
+                fh.write(f"# {line}\n")
+            write_csv(fh, header, [self.times, *self.states.T, *self.inputs.T, *self.outputs.T])
 
     @classmethod
     def from_csv(cls, text: str) -> "TrajectoryData":
-        """Inverse of :meth:`to_csv`.
+        """Inverse of :meth:`save_csv`; columns are counted by their x, u and y prefixes.
 
         Raises:
             ValueError: no ``# T=`` line, header or rows; an unrecognized
@@ -283,9 +251,6 @@ class TrajectoryData:
             states=np.ascontiguousarray(table[:, 1 : 1 + n]),
             inputs=np.ascontiguousarray(table[:-1, 1 + n : 1 + n + m]),
             outputs=np.ascontiguousarray(table[:, 1 + n + m :]),
-            state_labels=tuple(header[1 : 1 + n]),
-            input_labels=tuple(header[1 + n : 1 + n + m]),
-            output_labels=tuple(header[1 + n + m :]),
         )
 
     @classmethod
@@ -294,22 +259,19 @@ class TrajectoryData:
             return cls.from_csv(fh.read())
 
 
-def _rk4_step(rhs, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(x, u)
-    k2 = rhs(x + 0.5 * h * k1, u)
-    k3 = rhs(x + 0.5 * h * k2, u)
-    k4 = rhs(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+MAX_STEP = 0.01  # longest internal RK4 step, seconds
 
 
 def _msd_rk4(p: MsdParams, x0: np.ndarray, u_table: np.ndarray, substeps: int,
              h: float) -> np.ndarray:
-    """States of :func:`_rk4_step` with ``p.rhs``, computed on Python floats.
+    """Classical RK4 states of the mass-spring-damper, computed on Python floats.
 
-    Every stage repeats the array path's operations in the same order, so the
-    states agree bit for bit while a step costs a fraction of four small-array
-    evaluations.  Python raises ``OverflowError`` where numpy would return inf
-    from a power; either way the state is no longer finite at that sample.
+    Each stage evaluates x' = (zdot, (u - K(z) - beta(z, zdot) zdot) / m) and
+    combines the stages in the textbook order, as the length-2 array RK4 of
+    the test oracles does, so the states agree bit for bit while a step costs
+    a fraction of four small-array evaluations.  Python raises
+    ``OverflowError`` where numpy would return inf from a power; either way
+    the state is no longer finite at that sample.
     """
     m, k1, k3, b0, b1, b2 = p.m, p.k1, p.k3, p.b0, p.b1, p.b2
 
@@ -341,28 +303,28 @@ def _msd_rk4(p: MsdParams, x0: np.ndarray, u_table: np.ndarray, substeps: int,
 
 
 def simulate(
-    plant: MsdParams | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    params: MsdParams,
     x0: Sequence[float],
     inputs: InputSignal | np.ndarray,
     T: float,
     L: int | None = None,
-    output: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_step: float = 0.01,
 ) -> TrajectoryData:
-    """Integrate a plant over L samples of period T with held inputs.
+    """Integrate the mass-spring-damper over L samples of period T with held inputs.
 
-    Classical RK4 with internal step <= min(T, max_step); the input is held
-    constant over each sampling interval.  For the mass-spring-damper the
-    output is the position x1; generic plants report the full state unless
-    ``output`` is given.
+    Classical RK4 with internal step <= min(T, MAX_STEP); the input is held
+    constant over each sampling interval and the output is the position x1.
 
     Raises:
+        ValueError: T not positive and finite, a state that is not of length
+            2, or an input table whose row count is not L.
         NonFiniteTrajectoryError: the state left the finite range; the
             exception carries the offending step index.
     """
-    if T <= 0:
-        raise ValueError(f"sampling time must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"sampling time must be positive and finite, got {T}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,):
+        raise ValueError(f"the mass-spring-damper state has 2 entries, got {x0.shape}")
     if isinstance(inputs, InputSignal):
         if L is None:
             raise ValueError("L is required when inputs is an InputSignal")
@@ -376,32 +338,9 @@ def simulate(
     if u_table.shape[0] != L:
         raise ValueError(f"input table has {u_table.shape[0]} rows, expected L={L}")
 
-    substeps = max(1, int(np.ceil(T / min(T, max_step) - 1e-12)))
-    h = T / substeps
-
-    if isinstance(plant, MsdParams):
-        if x0.shape != (2,):
-            raise ValueError(f"the mass-spring-damper state has 2 entries, got {x0.shape}")
-        states = _msd_rk4(plant, x0, u_table, substeps, h)
-    else:
-        states = np.empty((L + 1, x0.size))
-        states[0] = x0
-        x = x0.copy()
-        # divergence is detected and raised explicitly; silence the transient
-        # overflow warnings emitted on the step that blows up
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(L):
-                u = u_table[j]
-                for _ in range(substeps):
-                    x = _rk4_step(plant, x, u, h)
-                if not np.all(np.isfinite(x)):
-                    raise NonFiniteTrajectoryError(j + 1)
-                states[j + 1] = x
-    if output is not None:
-        outputs = np.array([np.atleast_1d(output(s)) for s in states])
-    else:  # the position for the mass-spring-damper, the full state otherwise
-        outputs = (states[:, :1] if isinstance(plant, MsdParams) else states).copy()
-    return TrajectoryData(T=T, states=states, inputs=u_table, outputs=outputs)
+    substeps = max(1, int(np.ceil(T / min(T, MAX_STEP) - 1e-12)))
+    states = _msd_rk4(params, x0, u_table, substeps, T / substeps)
+    return TrajectoryData(T=T, states=states, inputs=u_table, outputs=states[:, :1].copy())
 
 
 def storage_value(params: MsdParams, x: Sequence[float]) -> float:

@@ -125,23 +125,6 @@ def objective(G_A: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
 RHO_INIT = 1.0  # initial ADMM step size
 
 
-def _balance_factor(iterations: int, primal: float, dual: float, rho: float) -> float:
-    """Residual-balancing step-size factor (Boyd et al. 2011, sec. 3.4.1).
-
-    Every 50 iterations the step size doubles when the primal residual exceeds
-    ten times the dual one and halves in the opposite case, within
-    [1e-6, 1e6]; otherwise the factor is 1.  The caller multiplies rho by the
-    factor and divides the scaled dual by it.
-    """
-    if iterations % 50:
-        return 1.0
-    if primal > 10.0 * dual and rho < 1e6:
-        return 2.0
-    if dual > 10.0 * primal and rho > 1e-6:
-        return 0.5
-    return 1.0
-
-
 @dataclass(frozen=True)
 class NiProgramSolution:
     """Solver output: certificate variables, recovered dynamics, diagnostics."""
@@ -190,17 +173,22 @@ def solve_ni(
     and P is nudged along the identity afterwards if round-off left the block
     marginally indefinite (the identity shift moves S(X) by exactly delta I).
 
+    The step size is balanced on the residuals (Boyd et al. 2011, sec. 3.4.1):
+    every 50 iterations rho doubles when the primal residual exceeds ten times
+    the dual one and halves in the opposite case, within [1e-6, 1e6], and the
+    scaled dual is divided by the same factor.
+
     The run stops when both residuals are within ``tol`` times the block
     scale, or after ``max_iters`` iterations.  Never raises on slow
     convergence; the returned ``converged`` flag and residuals describe the
     stop.
 
     Raises:
-        ValueError: alpha not positive or max_iters below 1.
+        ValueError: alpha not positive and finite, or max_iters below 1.
         SingularPError: P numerically singular when recovering A_d = Q P^-1.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     G_A = np.atleast_2d(np.asarray(G_A, dtype=float))
@@ -254,8 +242,13 @@ def solve_ni(
         if primal <= tol * scale and dual <= tol * scale:
             converged = True
             break
-        factor = _balance_factor(iterations, primal, dual, rho)
-        if factor != 1.0:
+        if iterations % 50 == 0:
+            if primal > 10.0 * dual and rho < 1e6:
+                factor = 2.0
+            elif dual > 10.0 * primal and rho > 1e-6:
+                factor = 0.5
+            else:
+                continue
             rho *= factor
             U /= factor
             f, GtV, UH, denom = factorize(rho)
@@ -507,8 +500,7 @@ def simulate_lifted(mdl: DiscreteLinearModel, x0, inputs: np.ndarray) -> LiftedS
     """Iterate psi+ = A psi + B u from psi0 = lift(x0); y = C psi.
 
     Requires the model to carry its lifting dictionary.  The native-state
-    track is the leading block of the lifted state mapped back through the
-    dictionary's normalization.
+    track is the leading block of the lifted state.
     """
     if mdl.dictionary is None:
         raise ValueError("model carries no lifting dictionary")
@@ -524,5 +516,4 @@ def simulate_lifted(mdl: DiscreteLinearModel, x0, inputs: np.ndarray) -> LiftedS
     for x, nxt in zip(psi, psi[1:]):
         nxt += mdl.A @ x
     outputs = psi @ mdl.C.T
-    states = mdl.dictionary.unlift_state(psi[:, : mdl.dictionary.n])
-    return LiftedSimulation(lifted=psi, states=states, outputs=outputs)
+    return LiftedSimulation(lifted=psi, states=psi[:, : mdl.dictionary.n], outputs=outputs)

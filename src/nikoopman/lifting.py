@@ -6,9 +6,9 @@ appends one thin-plate radial basis value per center:
     psi(x) = [x_1, ..., x_n, d_1^2 ln d_1, ..., d_N^2 ln d_N]',
     d_i = ||x - r_i||_2,
 
-with the singular value at d = 0 replaced by its limit 0.  Optional
-z-scoring (mean/scale) is stored with the dictionary so a serialized model
-fully determines lifted simulation.
+with the singular value at d = 0 replaced by its limit 0.  The states are
+lifted as they are, so the centers and the dimension n fully determine the
+lifted simulation of a serialized model.
 """
 
 from __future__ import annotations
@@ -31,25 +31,14 @@ class LiftingDictionary:
     Attributes:
         n: Native state dimension.
         centers: (n_rbf, n) RBF centers, pairwise distinct.
-        mean/scale: Optional per-dimension z-scoring applied before lifting
-            (and undone by :meth:`unlift_state`); None disables it.
     """
 
     n: int
     centers: np.ndarray
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=float).reshape(-1, self.n)
         object.__setattr__(self, "centers", centers)
-        if self.mean is not None:
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        if self.scale is not None:
-            scale = np.asarray(self.scale, dtype=float)
-            if np.any(scale <= 0):
-                raise ValueError("z-scoring scale must be positive")
-            object.__setattr__(self, "scale", scale)
         if len(centers) > 1:
             diffs = centers[:, None, :] - centers[None, :, :]
             dist = np.sqrt(np.sum(diffs**2, axis=-1))
@@ -66,13 +55,6 @@ class LiftingDictionary:
         """Total lifted dimension N = n + n_rbf."""
         return self.n + self.n_rbf
 
-    def _normalize(self, x: np.ndarray) -> np.ndarray:
-        if self.mean is not None:
-            x = x - self.mean
-        if self.scale is not None:
-            x = x / self.scale
-        return x
-
     def lift(self, x) -> np.ndarray:
         """Lift a single state vector to length ``size``."""
         return self.lift_columns(np.ravel(x)[None, :])[:, 0]
@@ -84,37 +66,32 @@ class LiftingDictionary:
             raise DimensionMismatchError(
                 f"states have dimension {states.shape[1]}, expected {self.n}"
             )
-        z = self._normalize(states)
-        blocks = [z.T]
+        blocks = [states.T]
         if self.n_rbf:
-            d = np.linalg.norm(z[:, None, :] - self.centers[None, :, :], axis=2)
+            d = np.linalg.norm(states[:, None, :] - self.centers[None, :, :], axis=2)
             blocks.append(_thin_plate(d).T)
         return np.vstack(blocks)
 
-    def unlift_state(self, leading: np.ndarray) -> np.ndarray:
-        """Map the first n lifted components back to native coordinates."""
-        x = np.asarray(leading, dtype=float)
-        if self.scale is not None:
-            x = x * self.scale
-        if self.mean is not None:
-            x = x + self.mean
-        return x
-
     def to_json_dict(self) -> dict:
-        out = {"n": self.n, "centers": self.centers.tolist()}
-        if self.mean is not None:
-            out["mean"] = self.mean.tolist()
-        if self.scale is not None:
-            out["scale"] = self.scale.tolist()
-        return out
+        return {"n": self.n, "centers": self.centers.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LiftingDictionary":
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises:
+            ValueError: the block holds a z-scoring ``mean`` or ``scale``;
+                this dictionary lifts raw states and would lift such a model
+                wrongly.
+        """
+        for key in ("mean", "scale"):
+            if key in d:
+                raise ValueError(
+                    f"lifting dictionary holds {key!r}: z-scored dictionaries are not supported"
+                )
         return cls(
             n=int(d["n"]),
             centers=np.asarray(d["centers"], dtype=float).reshape(-1, int(d["n"])),
-            mean=np.asarray(d["mean"], dtype=float) if "mean" in d else None,
-            scale=np.asarray(d["scale"], dtype=float) if "scale" in d else None,
         )
 
 
@@ -132,7 +109,12 @@ def sample_centers(n: int, n_rbf: int, box, seed: int = 0) -> LiftingDictionary:
     ``box`` is (n, 2) rows of [low, high].  Draws closer than 1e-9 to an
     accepted center are rejected and redrawn, so the result is deterministic
     given the seed.
+
+    Raises:
+        ValueError: ``n_rbf`` negative or the box not finite.
     """
+    if n_rbf < 0:
+        raise ValueError(f"the number of RBF centers must be nonnegative, got n_rbf={n_rbf}")
     box = np.asarray(box, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(box)):
         raise ValueError("sampling box must be finite")
@@ -164,26 +146,9 @@ def state_box(states: np.ndarray) -> np.ndarray:
     return np.stack([lo - pad, hi + pad], axis=1)
 
 
-def make_dictionary(
-    traj: TrajectoryData,
-    n_rbf: int,
-    seed: int = 0,
-    normalize: bool = False,
-) -> LiftingDictionary:
-    """Build a dictionary for a trajectory: box from data, centers by seed.
-
-    With ``normalize`` the states are z-scored first and the centers are
-    drawn in the normalized coordinates.
-    """
-    states = traj.states
-    mean = scale = None
-    if normalize:
-        mean = states.mean(axis=0)
-        scale = states.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        states = (states - mean) / scale
-    base = sample_centers(traj.n, n_rbf, state_box(states), seed=seed)
-    return LiftingDictionary(n=traj.n, centers=base.centers, mean=mean, scale=scale)
+def make_dictionary(traj: TrajectoryData, n_rbf: int, seed: int = 0) -> LiftingDictionary:
+    """Build a dictionary for a trajectory: box from data, centers by seed."""
+    return sample_centers(traj.n, n_rbf, state_box(traj.states), seed=seed)
 
 
 @dataclass(frozen=True)

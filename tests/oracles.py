@@ -169,30 +169,51 @@ def step_response_per_step(c, T, steps):
     return out, diverged
 
 
-def simulate_array_rk4(params, x0, u_table, T, max_step=0.01):
+def msd_rhs(params, x, u):
+    """x' = (zdot, (u - k1 z - k3 z^3 - (b0 + b1 z^2 + b2 zdot^2) zdot) / m)."""
+    z, zdot = x
+    spring = params.k1 * z + params.k3 * z**3
+    damping = params.b0 + params.b1 * z**2 + params.b2 * zdot**2
+    return np.array([zdot, (-spring - damping * zdot + u[0]) / params.m])
+
+
+def simulate_array_rk4(params, x0, u_table, T):
     """Mass-spring-damper states by classical RK4 on length-2 arrays.
 
-    Raises NonFiniteTrajectoryError at the first sample whose state is not
-    finite.
+    At most 0.01 s per internal step.  Raises NonFiniteTrajectoryError at the
+    first sample whose state is not finite.
     """
-    substeps = max(1, int(np.ceil(T / min(T, max_step) - 1e-12)))
+    substeps = max(1, int(np.ceil(T / min(T, 0.01) - 1e-12)))
     h = T / substeps
-    rhs = params.rhs
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((u_table.shape[0] + 1, x.size))
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for j, u in enumerate(u_table):
             for _ in range(substeps):
-                k1 = rhs(x, u)
-                k2 = rhs(x + 0.5 * h * k1, u)
-                k3 = rhs(x + 0.5 * h * k2, u)
-                k4 = rhs(x + h * k3, u)
+                k1 = msd_rhs(params, x, u)
+                k2 = msd_rhs(params, x + 0.5 * h * k1, u)
+                k3 = msd_rhs(params, x + 0.5 * h * k2, u)
+                k4 = msd_rhs(params, x + h * k3, u)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteTrajectoryError(j + 1)
             states[j + 1] = x
     return states
+
+
+def lift_per_state(dictionary, x):
+    """psi(x): the state, then d^2 ln d of its distance d to each center (0 at d = 0)."""
+    x = np.asarray(x, dtype=float).ravel()
+    out = np.empty(dictionary.size)
+    out[: dictionary.n] = x
+    if dictionary.n_rbf:
+        d = np.linalg.norm(x[None, :] - dictionary.centers, axis=1)
+        rbf = np.zeros_like(d)
+        pos = d > 0
+        rbf[pos] = d[pos] ** 2 * np.log(d[pos])
+        out[dictionary.n :] = rbf
+    return out
 
 
 def simulate_lifted_per_step(mdl, x0, inputs):
@@ -226,7 +247,8 @@ def simulate_continuous_per_step(c, x0, inputs, T):
 def trajectory_to_csv_per_value(traj, extra_comments=()):
     """The trajectory CSV: comments, header, rows; empty inputs on the last row."""
     lines = [f"# T={traj.T!r}"] + [f"# {line}" for line in extra_comments]
-    lines.append(",".join(["t", *traj.state_labels, *traj.input_labels, *traj.output_labels]))
+    header = ["t"] + [f"x{i + 1}" for i in range(traj.n)] + [f"u{i + 1}" for i in range(traj.m)]
+    lines.append(",".join(header + [f"y{i + 1}" for i in range(traj.l)]))
     for j in range(traj.L + 1):
         cells = [f"{j * traj.T:.12e}"]
         cells += [f"{v:.12e}" for v in traj.states[j]]
@@ -282,36 +304,44 @@ def validate_csvs_per_value(reference, candidates, predictions, omegas, ctrl, st
     """Text of ``validate``'s bode, nyquist, timeseries and step CSVs.
 
     ``candidates`` are ``analysis.CandidateModel``; ``predictions`` holds each
-    model's predicted states, None for a model that failed.  Responses come
-    from the per-frequency and per-step loops above, every value is formatted
-    with ``"{:.12e}".format`` on its own, and missing cells are empty.
+    model's predicted states, None for a model that failed, whose cells are
+    empty in every CSV.  Responses come from the per-frequency and per-step
+    loops above, every value is formatted with ``"{:.12e}".format`` on its
+    own, and missing cells are empty.
     """
     fmt = "{:.12e}".format
     names = [c.name for c in candidates]
-    conts = [c.to_continuous() for c in candidates]
+    conts = [
+        None if p is None else c.continuous if c.continuous is not None
+        else nicore.to_continuous(c.discrete)
+        for c, p in zip(candidates, predictions)
+    ]
     loops = conts
     if ctrl is not None:
         ppf = nicore.ppf_realize(ctrl)
-        loops = [nicore.positive_feedback(c, ppf).model for c in conts]
+        loops = [None if c is None else nicore.positive_feedback(c, ppf).model for c in conts]
     bode = []
     for c in conts:
+        if c is None:
+            bode.append(None)
+            continue
         G = freq_response_per_frequency(c, omegas)[:, 0, 0]
         mags = 20.0 * np.log10(np.maximum(np.abs(G), np.finfo(float).tiny))
         bode.append((mags, np.degrees(np.angle(G))))
-    nyq = [freq_response_per_frequency(c, omegas)[:, 0, 0] for c in loops]
+    nyq = [None if c is None else freq_response_per_frequency(c, omegas)[:, 0, 0] for c in loops]
     out = {}
     rows = []
     for k, w in enumerate(omegas):
         row = [fmt(w)]
-        for mags, phases in bode:
-            row += [fmt(mags[k]), fmt(phases[k])]
+        for pair in bode:
+            row += ["", ""] if pair is None else [fmt(pair[0][k]), fmt(pair[1][k])]
         rows.append(row)
     out["bode.csv"] = csv_text_per_value(_suffixed(["omega", "mag_db", "phase_deg"], names), rows)
     rows = []
     for k, w in enumerate(omegas):
         row = [fmt(w)]
         for G in nyq:
-            row += [fmt(G[k].real), fmt(G[k].imag)]
+            row += ["", ""] if G is None else [fmt(G[k].real), fmt(G[k].imag)]
         rows.append(row)
     out["nyquist.csv"] = csv_text_per_value(_suffixed(["omega", "re", "im"], names), rows)
     rows = []
@@ -323,7 +353,8 @@ def validate_csvs_per_value(reference, candidates, predictions, omegas, ctrl, st
         ["t", "y_true"] + [f"y_{n}" for n in names], rows
     )
     if ctrl is not None:
-        responses = [step_response_per_step(c, reference.T, steps)[0] for c in loops]
+        responses = [np.empty((0, 1)) if c is None
+                     else step_response_per_step(c, reference.T, steps)[0] for c in loops]
         rows = []
         for j in range(steps + 1):
             row = [fmt(j * reference.T)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import msd_rhs
 
 from nikoopman import analysis, dynamics, identify, lifting, nicore
 from nikoopman.analysis import CandidateModel
@@ -48,8 +49,8 @@ def test_linearize_matches_finite_differences():
         for j in range(2):
             dx = np.zeros(2)
             dx[j] = eps
-            f_plus = params.rhs(x0 + dx, np.zeros(1))
-            f_minus = params.rhs(x0 - dx, np.zeros(1))
+            f_plus = msd_rhs(params, x0 + dx, np.zeros(1))
+            f_minus = msd_rhs(params, x0 - dx, np.zeros(1))
             jac[:, j] = (f_plus - f_minus) / (2 * eps)
         assert np.allclose(c.A, jac, atol=1e-6)
 
@@ -181,6 +182,17 @@ def test_compare_isolates_model_failures():
     )
     assert report.models[0].error is not None
     assert report.models[1].error is None
+
+
+def test_compare_raises_pole_on_grid():
+    # the origin linearization has poles at +/- j: the grid, not the model,
+    # is at fault, so the error propagates instead of filling an entry
+    lin0 = analysis.linearize_msd(MsdParams(), [0.0, 0.0])
+    _, traj = linear_traj()
+    with pytest.raises(nicore.PoleOnGridError):
+        analysis.compare_models(
+            traj, [CandidateModel(name="lin0", continuous=lin0)], omegas=[0.5, 1.0, 2.0]
+        )
 
 
 def test_compare_report_json_serializable():

@@ -62,6 +62,30 @@ def test_bad_args_exit_two(tmp_path):
                 "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identify", "--nrbf", "-1", "--mode", "unconstrained"], "n_rbf=-1"),
+        (["identify", "--nrbf", "-3"], "n_rbf=-3"),
+        (["identify", "--alpha", "nan"], "alpha must be positive and finite"),
+        (["identify", "--alpha", "inf"], "alpha must be positive and finite"),
+        (["simulate", "--T", "inf"], "sampling time must be positive and finite"),
+        (["simulate", "--T", "nan"], "sampling time must be positive and finite"),
+        (["simulate", "--amplitude", "nan"], "amplitude must be nonnegative and finite"),
+    ],
+    ids=["nrbf-negative-plain", "nrbf-negative-ni", "alpha-nan", "alpha-inf", "T-inf", "T-nan",
+         "amplitude-nan"],
+)
+def test_malformed_numeric_option_exit_two(linear_traj_file, tmp_path, capsys, argv, message):
+    # each value is checked where it enters, before any output is written
+    out = tmp_path / "out"
+    if argv[0] == "identify":
+        argv = argv + ["--traj", str(linear_traj_file)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # identify
 # ---------------------------------------------------------------------------
@@ -264,15 +288,31 @@ def test_validate_grid_on_pole_exit_two(linear_traj_file, tmp_path, capsys):
     assert not (tmp_path / "val").exists()  # nothing written, no partial report
 
 
-@pytest.mark.parametrize("ppf", [None, "0.5,0.7,2"], ids=["open-loop", "ppf"])
-def test_validate_isolates_model_without_bilinear_image(linear_traj_file, tmp_path, ppf):
-    # A_d with an eigenvalue at -1 has no continuous image: that model gets an
-    # error entry and empty cells, and the other model's columns are unchanged
+@pytest.mark.parametrize(
+    "ppf, fault, error",
+    [
+        (None, "minus-one", "SingularAtMinusOneError"),
+        ("0.5,0.7,2", "minus-one", "SingularAtMinusOneError"),
+        (None, "no-dict", "ValueError: model carries no lifting dictionary"),
+        ("0.5,0.7,2", "no-dict", "ValueError: model carries no lifting dictionary"),
+    ],
+    ids=["open-loop", "ppf", "no-dict-open-loop", "no-dict-ppf"],
+)
+def test_validate_isolates_model_without_bilinear_image(
+    linear_traj_file, tmp_path, ppf, fault, error
+):
+    # A_d with an eigenvalue at -1 has no continuous image, and a model
+    # without its lifting dictionary cannot be simulated: either way that
+    # model gets an error entry and empty cells in every CSV, and the other
+    # model's columns are unchanged
     plain = tmp_path / "plain.json"
     assert run(["identify", "--traj", str(linear_traj_file), "--nrbf", "2",
                 "--mode", "unconstrained", "--out", str(plain)]) == 0
     payload = json.loads(plain.read_text())
-    payload["A"][0] = [-1.0] + [0.0] * (len(payload["A"]) - 1)
+    if fault == "minus-one":
+        payload["A"][0] = [-1.0] + [0.0] * (len(payload["A"]) - 1)
+    else:
+        payload["dict"] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     extra = [] if ppf is None else ["--ppf", ppf]
@@ -283,7 +323,7 @@ def test_validate_isolates_model_without_bilinear_image(linear_traj_file, tmp_pa
                 "--out-dir", str(both), *extra]) == 0
     report = json.loads((both / "report.json").read_text())
     assert "error" not in report["models"][0]
-    assert report["models"][1]["error"].startswith("SingularAtMinusOneError")
+    assert report["models"][1]["error"].startswith(error)
     names = ["bode.csv", "nyquist.csv", "timeseries.csv"] + ([] if ppf is None else ["step.csv"])
     for name in names:
         want = (alone / name).read_text().splitlines()[1:]

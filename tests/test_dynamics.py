@@ -116,18 +116,6 @@ def test_simulate_benchmark_parameters_bounded():
     assert np.all(np.isfinite(traj.states))
 
 
-def test_simulate_divergence_reports_step():
-    # anti-damped hook blows up in finite time
-    def rhs(x, u):
-        return np.array([x[1], x[0] ** 3 + x[1]])
-
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        dynamics.NonFiniteTrajectoryError
-    ) as err:
-        dynamics.simulate(rhs, [1.0, 1.0], np.zeros((500, 1)), T=0.5)
-    assert err.value.step >= 1
-
-
 def test_simulate_determinism():
     spec = InputSignal(kind="random", amplitude=1.0, hold=10, seed=7)
     a = dynamics.simulate(MsdParams(), [0.1, 0.0], spec, T=0.01, L=200)
@@ -137,20 +125,18 @@ def test_simulate_determinism():
 
 
 def test_simulate_rk4_order():
-    # halve the internal step repeatedly on the linear case; the error against
-    # the exact ZOH solution must shrink at order >= 3.5
+    # halve the sampling time (below MAX_STEP it is the RK4 step) on the
+    # linear case; the error at t = 0.4 against the exact ZOH solution must
+    # shrink at order >= 3.5
     p = MsdParams(m=1.0, k1=1.0, k3=0.0, b0=1.0, b1=0.0, b2=0.0)
     A = np.array([[0.0, 1.0], [-1.0, -1.0]])
     B = np.array([[0.0], [1.0]])
-    T, L = 0.4, 5
-    Ad, Bd = zoh_discretize(A, B, T)
-    u = np.ones((L, 1))
-    x = np.zeros(2)
-    for j in range(L):
-        x = Ad @ x + Bd @ u[j]
+    Ad, Bd = zoh_discretize(A, B, 0.4)
+    x = Bd[:, 0]  # one held unit step from rest
     errs = []
-    for h in (0.4, 0.2, 0.1):
-        traj = dynamics.simulate(p, [0.0, 0.0], u, T=T, max_step=h)
+    for T in (0.01, 0.005, 0.0025):
+        L = round(0.4 / T)
+        traj = dynamics.simulate(p, [0.0, 0.0], np.ones((L, 1)), T=T)
         errs.append(np.linalg.norm(traj.states[-1] - x))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 3.5
@@ -181,19 +167,15 @@ def test_dissipation_random_seeds(seed):
 
 
 def test_dissipation_flags_negative_damping():
-    # Anti-damped plant simulated through the generic hook; checking it
-    # against the matching storage function must expose violations.
-    params = MsdParams(m=1.0, k1=1.0, k3=1.0)
-
-    def rhs(x, u):
-        z, zdot = x
-        beta = -1.0  # sign-flipped damping, outside MsdParams invariants
-        return np.array([zdot, (-z - z**3 - beta * zdot + u[0]) / 1.0])
-
-    traj = dynamics.simulate(
-        rhs, [0.5, 0.0], np.zeros((300, 1)), T=0.01, output=lambda x: x[:1]
+    # Played backwards, a damped zero-input decay is an anti-damped plant that
+    # gains energy with no supply; the storage check must expose violations.
+    params = MsdParams()
+    traj = dynamics.simulate(params, [1.0, 0.0], np.zeros((300, 1)), T=0.01)
+    assert dynamics.check_dissipation(traj, params).ok
+    reversed_traj = TrajectoryData(
+        T=traj.T, states=traj.states[::-1], inputs=traj.inputs, outputs=traj.outputs[::-1]
     )
-    report = dynamics.check_dissipation(traj, params)
+    report = dynamics.check_dissipation(reversed_traj, params)
     assert not report.ok
     assert all(gap > report.tol for _, gap in report.violations)
 
@@ -203,7 +185,7 @@ def test_dissipation_flags_negative_damping():
 # ---------------------------------------------------------------------------
 
 
-def test_trajectory_csv_round_trip():
+def test_trajectory_csv_round_trip(tmp_path):
     traj = dynamics.simulate(
         MsdParams(),
         [0.2, -0.1],
@@ -211,17 +193,22 @@ def test_trajectory_csv_round_trip():
         T=0.02,
         L=40,
     )
-    text = traj.to_csv(extra_comments=["config={}"])
-    again = TrajectoryData.from_csv(text)
+    traj.save_csv(tmp_path / "traj.csv", extra_comments=["config={}"])
+    again = TrajectoryData.load_csv(tmp_path / "traj.csv")
     assert again.T == traj.T
     assert np.allclose(again.states, traj.states, atol=1e-11)
     assert np.allclose(again.inputs, traj.inputs, atol=1e-11)
     assert np.allclose(again.outputs, traj.outputs, atol=1e-11)
 
 
-def test_trajectory_csv_layout():
+def _csv_lines(tmp_path, traj) -> list[str]:
+    traj.save_csv(tmp_path / "traj.csv")
+    return (tmp_path / "traj.csv").read_text().splitlines()
+
+
+def test_trajectory_csv_layout(tmp_path):
     traj = dynamics.simulate(MsdParams(), [0.0, 0.0], np.ones((3, 1)), T=0.1)
-    lines = traj.to_csv().splitlines()
+    lines = _csv_lines(tmp_path, traj)
     assert lines[0].startswith("# T=")
     assert lines[1] == "t,x1,x2,u1,y1"
     assert len(lines) == 2 + 4
@@ -229,9 +216,9 @@ def test_trajectory_csv_layout():
     assert lines[-1].split(",")[3] == ""
 
 
-def _csv_with_row(row: int, cells: str) -> str:
+def _csv_with_row(tmp_path, row: int, cells: str) -> str:
     traj = dynamics.simulate(MsdParams(), [0.0, 0.0], np.ones((4, 1)), T=0.1)
-    lines = traj.to_csv().splitlines()
+    lines = _csv_lines(tmp_path, traj)
     lines[2 + row] = cells  # after the "# T=" line and the header
     return "\n".join(lines) + "\n"
 
@@ -246,14 +233,14 @@ def _csv_with_row(row: int, cells: str) -> str:
     ],
     ids=["short-row", "long-row", "non-numeric", "empty-input-not-final"],
 )
-def test_trajectory_csv_malformed_row(row, cells, match):
+def test_trajectory_csv_malformed_row(tmp_path, row, cells, match):
     with pytest.raises(ValueError, match=match):
-        TrajectoryData.from_csv(_csv_with_row(row, cells))
+        TrajectoryData.from_csv(_csv_with_row(tmp_path, row, cells))
 
 
-def test_trajectory_csv_short_then_long_row():
+def test_trajectory_csv_short_then_long_row(tmp_path):
     # a flat parse would take the two rows for two well-formed ones
-    text = _csv_with_row(1, "1.0,0.0,0.0,1.0")
+    text = _csv_with_row(tmp_path, 1, "1.0,0.0,0.0,1.0")
     lines = text.splitlines()
     lines[4] = "2.0,0.0,0.0,1.0,0.0,9.0"
     with pytest.raises(ValueError, match="line 4 has 4 cells"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import lift_per_state
 
 from nikoopman import dynamics, lifting
 from nikoopman.dynamics import InputSignal, MsdParams
@@ -74,22 +75,26 @@ def test_duplicate_centers_rejected():
 
 
 def test_lift_columns_matches_lift():
-    d = lifting.sample_centers(2, 5, [[-1, 1], [-1, 1]], seed=3)
+    # every column equals the oracle's one-state-at-a-time lift bit for bit,
+    # a state on a center (d = 0) included
     rng = np.random.default_rng(0)
-    states = rng.normal(size=(20, 2))
-    cols = d.lift_columns(states)
-    for k, x in enumerate(states):
-        assert np.allclose(cols[:, k], d.lift(x))
+    for n_rbf in range(25):
+        d = lifting.sample_centers(2, n_rbf, [[-1, 1], [-1, 1]], seed=n_rbf)
+        states = rng.normal(size=(40, 2))
+        if n_rbf:
+            states[0] = d.centers[-1]
+        cols = d.lift_columns(states)
+        for k, x in enumerate(states):
+            assert np.array_equal(cols[:, k], lift_per_state(d, x)), (n_rbf, k)
+        assert np.array_equal(d.lift(states[2]), lift_per_state(d, states[2]))
 
 
-def test_normalized_dictionary_round_trip():
-    d = LiftingDictionary(
-        n=2, centers=np.array([[0.0, 0.0]]), mean=np.array([1.0, -1.0]), scale=np.array([2.0, 0.5])
-    )
-    x = np.array([3.0, -2.0])
-    psi = d.lift(x)
-    assert np.allclose(psi[:2], [(3.0 - 1.0) / 2.0, (-2.0 + 1.0) / 0.5])
-    assert np.allclose(d.unlift_state(psi[:2]), x)
+@pytest.mark.parametrize("key", ["mean", "scale"])
+def test_json_rejects_z_scoring(key):
+    # a dictionary written with z-scoring would lift raw states wrongly
+    block = {"n": 2, "centers": [[0.0, 0.0]], key: [1.0, 1.0]}
+    with pytest.raises(ValueError, match=key):
+        LiftingDictionary.from_json_dict(block)
 
 
 def test_json_round_trip():
