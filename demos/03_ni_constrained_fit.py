@@ -11,7 +11,6 @@ that is NI by construction.
 import numpy as np
 
 from nikoopman import (
-    IdentifyConfig,
     InputSignal,
     MsdParams,
     discrete_ni_residuals,
@@ -32,13 +31,12 @@ plain = identify_unconstrained(train, dictionary)
 print(f"unconstrained spectral radius: "
       f"{np.max(np.abs(np.linalg.eigvals(plain.model.A))):.5f} (slightly unstable is typical)")
 
-cfg = IdentifyConfig(alpha=1e-5, strict_b=True, max_iters=200000)
-result = identify_ni(train, dictionary, cfg)
+result = identify_ni(train, dictionary, alpha=1e-5, strict_b=True, max_iters=200000)
 ni = result.ni
 print(f"ADMM: {ni.iterations} iterations, converged={ni.converged}, "
       f"objective={ni.objective:.3e}")
 print(f"certificate completion: B-fit relative error "
-      f"{ni.completion['b_fit_rel']:.3f} in {ni.completion['iterations']} Newton steps")
+      f"{ni.completion.b_fit_rel:.3f} in {ni.completion.iterations} Newton steps")
 print(f"constrained spectral radius: "
       f"{np.max(np.abs(np.linalg.eigvals(result.model.A))):.5f}")
 

@@ -7,12 +7,7 @@ and its phase respects the band; the plain least-squares fit usually
 breaks it somewhere on the grid.  Writes Bode data for both models.
 """
 
-import csv
-
-import numpy as np
-
 from nikoopman import (
-    IdentifyConfig,
     InputSignal,
     MsdParams,
     identify_ni,
@@ -22,6 +17,7 @@ from nikoopman import (
     simulate,
     to_continuous,
 )
+from nikoopman.dynamics import write_csv
 from nikoopman.nicore import bode_columns, default_frequency_grid, freq_response
 
 params = MsdParams()
@@ -30,8 +26,7 @@ train = simulate(params, [0.0, 0.0],
                  T=0.01, L=1000)
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
 
-constrained = identify_ni(train, dictionary,
-                          IdentifyConfig(alpha=1e-5, strict_b=True, max_iters=200000))
+constrained = identify_ni(train, dictionary, alpha=1e-5, strict_b=True, max_iters=200000)
 plain = identify_unconstrained(train, dictionary)
 
 omegas = default_frequency_grid()
@@ -42,8 +37,6 @@ for name, model in [("constrained", constrained.model), ("unconstrained", plain.
     print(f"{name:>13}: NI on grid = {chk.is_ni}, "
           f"min eig j(G - G*) = {chk.min_eig_over_grid:+.2e} at w = {chk.worst_omega:.3g}, "
           f"phase range [{phases.min():.1f}, {phases.max():.1f}] deg")
-    with open(f"bode_{name}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "mag_db", "phase_deg"])
-        writer.writerows(zip(omegas, mags, phases))
+    with open(f"bode_{name}.csv", "w") as fh:
+        write_csv(fh, ["omega", "mag_db", "phase_deg"], [omegas, mags, phases])
     print(f"              wrote bode_{name}.csv")

@@ -10,7 +10,6 @@ unstable, which is the whole point of constraining the identification.
 import numpy as np
 
 from nikoopman import (
-    IdentifyConfig,
     InputSignal,
     MsdParams,
     PpfController,
@@ -31,8 +30,7 @@ train = simulate(params, [0.0, 0.0],
                  InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
                  T=T, L=1000)
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
-constrained = identify_ni(train, dictionary,
-                          IdentifyConfig(alpha=1e-5, strict_b=True, max_iters=200000))
+constrained = identify_ni(train, dictionary, alpha=1e-5, strict_b=True, max_iters=200000)
 plain = identify_unconstrained(train, dictionary)
 
 ctrl = PpfController(K=0.5, zeta=0.7, omega=2.0)

@@ -27,7 +27,6 @@ from .dynamics import (
 )
 from .identify import (
     EdmdSolution,
-    IdentifyConfig,
     NiProgramSolution,
     complete_certificate,
     edmd_fit,
@@ -88,7 +87,6 @@ __all__ = [
     "NiProgramSolution",
     "solve_ni",
     "complete_certificate",
-    "IdentifyConfig",
     "identify_ni",
     "identify_unconstrained",
     "simulate_lifted",

@@ -16,7 +16,7 @@ discrete recursion.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -122,21 +122,14 @@ def simulate_continuous(
 ) -> np.ndarray:
     """States of the continuous model under held inputs, exactly discretized.
 
-    The input terms Bd u of every step are written in place by one product
-    before the recursion adds Ad x; with one input each entry is a single
-    product, so the states equal those of the step-by-step recursion bit for
-    bit.
+    The zero-order-hold pair (Ad, Bd) is iterated by
+    :func:`nicore.linear_recursion`.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != c.B.shape[1]:
         inputs = inputs.reshape(-1, c.B.shape[1])
     Ad, Bd = zoh_discretize(c, T)
-    states = np.empty((inputs.shape[0] + 1, c.order))
-    states[0] = np.asarray(x0, dtype=float)
-    np.matmul(inputs, Bd.T, out=states[1:])
-    for x, nxt in zip(states, states[1:]):
-        nxt += Ad @ x
-    return states
+    return nicore.linear_recursion(Ad, Bd, np.asarray(x0, dtype=float), inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +156,23 @@ class CandidateModel:
             raise ValueError("provide exactly one of discrete/continuous")
 
 
+def _saved(value):
+    # JSON form of a report value: a dataclass becomes the dict of its saved
+    # fields, those neither None nor declared with repr=False (the bulk arrays
+    # and the loop kept for the plot CSVs); a plain dict is kept as it is
+    if is_dataclass(value):
+        return {
+            f.name: _saved(getattr(value, f.name))
+            for f in fields(value)
+            if f.repr and getattr(value, f.name) is not None
+        }
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_saved(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ClosedLoopVerdict:
     dc_gain_lambda_max: float
@@ -170,16 +180,11 @@ class ClosedLoopVerdict:
     verdict: str  # stable | unstable | inconclusive
     loop: ContinuousLinearModel = field(repr=False)  # the r -> y loop judged, not saved
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dc_gain_lambda_max": self.dc_gain_lambda_max,
-            "spectral_radius": self.spectral_radius,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
 class ModelReport:
+    """One model's entry of a report; a failed model holds only its ``error``."""
+
     name: str
     mse_states: np.ndarray | None = None
     mse_outputs: np.ndarray | None = None
@@ -192,21 +197,6 @@ class ModelReport:
     response: np.ndarray | None = field(default=None, repr=False)
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"name": self.name}
-        if self.error is not None:
-            out["error"] = self.error
-            return out
-        out["mse_states"] = [float(v) for v in self.mse_states]
-        out["mse_outputs"] = [float(v) for v in self.mse_outputs]
-        if self.lmi is not None:
-            out["lmi"] = asdict(self.lmi)
-        out["phase"] = asdict(self.phase)
-        out["dc_gain"] = self.dc_gain
-        if self.closed_loop is not None:
-            out["closed_loop"] = self.closed_loop.to_json_dict()
-        return out
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -214,10 +204,8 @@ class ValidationReport:
     provenance: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "models": [m.to_json_dict() for m in self.models],
-            "provenance": self.provenance,
-        }
+        """The saved fields of the report and of every model (see ``_saved``)."""
+        return _saved(self)
 
 
 def closed_loop_verdict(

@@ -118,12 +118,9 @@ def cmd_identify(args) -> int:
             "residual_j2": result.edmd.residual_j2,
         }
     else:
-        cfg = identify.IdentifyConfig(
-            alpha=args.alpha,
-            strict_b=args.strict_b,
-            max_iters=args.max_iters,
+        result = identify.identify_ni(
+            traj, dictionary, alpha=args.alpha, strict_b=args.strict_b, max_iters=args.max_iters
         )
-        result = identify.identify_ni(traj, dictionary, cfg)
         ni = result.ni
         solver = {
             "mode": "ni",
@@ -138,9 +135,11 @@ def cmd_identify(args) -> int:
             "residual_j1": result.edmd.residual_j1,
             "residual_j2": result.edmd.residual_j2,
         }
-        if ni.completion is not None:
-            solver["completion"] = ni.completion
-        if not ni.converged or (ni.completion is not None and not ni.completion["converged"]):
+        comp = ni.completion
+        if comp is not None:
+            solver["completion"] = {k: getattr(comp, k) for k in (
+                "b_fit_rel", "iterations", "gap", "converged", "bound_active")}
+        if not ni.converged or (comp is not None and not comp.converged):
             exit_code = EXIT_SOLVER
     nicore.save_model(args.out, result.model, solver=solver, config=cfg_json)
     flag = "" if exit_code == EXIT_OK else " (solver not converged, flagged)"
@@ -249,9 +248,7 @@ def cmd_validate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    nicore.write_json(out_dir / "report.json", report.to_json_dict())
     for name, header, columns in csvs:
         _write_csv(out_dir / name, header, columns)
 

@@ -49,6 +49,9 @@ class MsdParams:
     b2: float = 1.0
 
     def __post_init__(self):
+        coefficients = (self.m, self.k1, self.k3, self.b0, self.b1, self.b2)
+        if not all(math.isfinite(c) for c in coefficients):
+            raise ValueError(f"plant coefficients must be finite, got {coefficients}")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if min(self.b0, self.b1, self.b2) < 0:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import matcore, sdp
+from . import matcore, nicore, sdp
 from .dynamics import TrajectoryData
 from .lifting import DataMatrices, LiftingDictionary, build_matrices
 from .nicore import DiscreteLinearModel
@@ -138,7 +138,7 @@ class NiProgramSolution:
     objective: float
     lmi_min_eig: float
     converged: bool
-    completion: dict | None = None
+    completion: CertificateCompletion | None = None
 
 
 def _fro(x: np.ndarray) -> float:
@@ -315,7 +315,7 @@ def complete_certificate(
     For fixed A_d the certificate set {P > alpha I, A_d P A_d' - P < -alpha I}
     is convex and generally not a single point; the input matrix implied by
     the NI equality, B_d(P) = -(1/T)(A_d - I) P (I + A_d')^-1 C_d', is linear
-    in P.  This solves
+    in P (:func:`nicore.ni_input_factors`).  This solves
 
         minimize  || B_d(P) - G_B ||_F^2   over the certificate set
 
@@ -337,8 +337,7 @@ def complete_certificate(
     """
     N = A_d.shape[0]
     eye = np.eye(N)
-    M = -(1.0 / T) * (A_d - eye)
-    v = matcore.solve((eye + A_d).T, C_d.T)  # (N, l)
+    M, v = nicore.ni_input_factors(A_d, C_d, T)  # B_d(P) = M P v
     P0 = scipy.linalg.solve_discrete_lyapunov(A_d, 2.0 * alpha * eye)
     P0 = 0.5 * (P0 + P0.T)
     B0 = M @ P0 @ v
@@ -392,94 +391,70 @@ def complete_certificate(
 
 
 @dataclass(frozen=True)
-class IdentifyConfig:
-    """Configuration of the NI-constrained identification."""
-
-    alpha: float = 1e-3
-    strict_b: bool = False
-    max_iters: int = 20000
-
-
-@dataclass(frozen=True)
 class IdentificationResult:
     model: DiscreteLinearModel
     ni: NiProgramSolution | None
     edmd: EdmdSolution
 
 
+def _result(traj: TrajectoryData, dictionary: LiftingDictionary, sol: EdmdSolution,
+            A_d: np.ndarray, B_d: np.ndarray, ni=None) -> IdentificationResult:
+    # the model psi+ = A_d psi + B_d u, y = C_d psi, with no feedthrough
+    D = np.zeros((sol.C_d.shape[0], B_d.shape[1]))
+    model = DiscreteLinearModel(A=A_d, B=B_d, C=sol.C_d, D=D, T=traj.T, dictionary=dictionary)
+    return IdentificationResult(model=model, ni=ni, edmd=sol)
+
+
 def identify_unconstrained(
     traj: TrajectoryData, dictionary: LiftingDictionary
 ) -> IdentificationResult:
     """Plain lifted least-squares model (no NI constraint, no certificate)."""
-    dm = build_matrices(traj, dictionary)
-    sol = edmd_fit(dm)
-    model = DiscreteLinearModel(
-        A=sol.G_A,
-        B=sol.G_B,
-        C=sol.C_d,
-        D=np.zeros((sol.C_d.shape[0], sol.G_B.shape[1])),
-        T=traj.T,
-        dictionary=dictionary,
-    )
-    return IdentificationResult(model=model, ni=None, edmd=sol)
+    sol = edmd_fit(build_matrices(traj, dictionary))
+    return _result(traj, dictionary, sol, sol.G_A, sol.G_B)
 
 
 def identify_ni(
     traj: TrajectoryData,
     dictionary: LiftingDictionary,
-    cfg: IdentifyConfig = IdentifyConfig(),
+    alpha: float = 1e-3,
+    strict_b: bool = False,
+    max_iters: int = 20000,
 ) -> IdentificationResult:
     """Full pipeline: snapshots -> least squares -> NI program -> model.
 
-    The model has no feedthrough.  With ``cfg.strict_b`` the input matrix is
-    recomputed from the NI state-space equality
-    B_d = -(1/T)(A_d - I) P (I + A_d')^-1 C_d' after A_d and C_d are fixed.
+    ``alpha`` and ``max_iters`` go to :func:`solve_ni`.  The model has no
+    feedthrough.  With ``strict_b`` the input matrix is recomputed from the
+    NI state-space equality B_d = -(1/T)(A_d - I) P (I + A_d')^-1 C_d' after
+    A_d and C_d are fixed, instead of being the least-squares G_B.
     The certificate P entering that equality is not unique; it is re-selected
     from the certificate set by :func:`complete_certificate` so the implied
-    B_d tracks the measured input response, and the solution's (P, Q) are
-    replaced by the completed pair (Q = A_d P keeps the recovery exact).
+    B_d tracks the measured input response, the solution's (P, Q) are
+    replaced by the completed pair (Q = A_d P keeps the recovery exact), and
+    the solution's ``completion`` is the completion's record.
     """
-    dm = build_matrices(traj, dictionary)
-    sol = edmd_fit(dm)
+    sol = edmd_fit(build_matrices(traj, dictionary))
     # the cost reduction to (G_A, G_B) needs [Theta; Omega] of full row rank
     eigs = matcore.sym_eig(sol.gram).eigenvalues
     if eigs[-1] <= TOL.rank_rel * max(eigs[0], np.finfo(float).tiny):
         raise RankDeficientError(
             f"[Theta; Omega] row-rank deficient (Gram eigs {eigs[-1]:.3e} vs {eigs[0]:.3e})"
         )
-    ni = solve_ni(sol.G_A, alpha=cfg.alpha, max_iters=cfg.max_iters)
-    B_d = sol.G_B
-    if cfg.strict_b:
-        comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, cfg.alpha)
-        B_d = comp.B_d
-        Q = ni.A_d @ comp.P
-        # converged still reports the Problem-2 solve; the completion stage
-        # carries its own flag in the completion block
-        ni = dataclasses.replace(
-            ni,
-            P=comp.P,
-            Q=Q,
-            objective=objective(sol.G_A, comp.P, Q),
-            lmi_min_eig=float(
-                matcore.sym_eig(_lmi_block(comp.P, Q, cfg.alpha)).eigenvalues[-1]
-            ),
-            completion={
-                "b_fit_rel": comp.b_fit_rel,
-                "iterations": comp.iterations,
-                "gap": comp.gap,
-                "converged": comp.converged,
-                "bound_active": comp.bound_active,
-            },
-        )
-    model = DiscreteLinearModel(
-        A=ni.A_d,
-        B=B_d,
-        C=sol.C_d,
-        D=np.zeros((sol.C_d.shape[0], B_d.shape[1])),
-        T=traj.T,
-        dictionary=dictionary,
+    ni = solve_ni(sol.G_A, alpha=alpha, max_iters=max_iters)
+    if not strict_b:
+        return _result(traj, dictionary, sol, ni.A_d, sol.G_B, ni)
+    comp = complete_certificate(ni.A_d, sol.C_d, sol.G_B, traj.T, alpha)
+    Q = ni.A_d @ comp.P
+    # converged still reports the Problem-2 solve; the completion stage
+    # carries its own flag in the completion record
+    ni = dataclasses.replace(
+        ni,
+        P=comp.P,
+        Q=Q,
+        objective=objective(sol.G_A, comp.P, Q),
+        lmi_min_eig=float(matcore.sym_eig(_lmi_block(comp.P, Q, alpha)).eigenvalues[-1]),
+        completion=comp,
     )
-    return IdentificationResult(model=model, ni=ni, edmd=sol)
+    return _result(traj, dictionary, sol, ni.A_d, comp.B_d, ni)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +482,6 @@ def simulate_lifted(mdl: DiscreteLinearModel, x0, inputs: np.ndarray) -> LiftedS
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs.reshape(-1, 1)
-    psi = np.empty((inputs.shape[0] + 1, mdl.order))
-    psi[0] = mdl.dictionary.lift(x0)
-    # B u of every step in one product, written in place, then A psi added:
-    # with one input each entry of B u is a single product, so the iterates
-    # equal those of psi[j + 1] = A psi[j] + B u[j]
-    np.matmul(inputs, mdl.B.T, out=psi[1:])
-    for x, nxt in zip(psi, psi[1:]):
-        nxt += mdl.A @ x
+    psi = nicore.linear_recursion(mdl.A, mdl.B, mdl.dictionary.lift(x0), inputs)
     outputs = psi @ mdl.C.T
     return LiftedSimulation(lifted=psi, states=psi[:, : mdl.dictionary.n], outputs=outputs)

@@ -104,31 +104,21 @@ def _thin_plate(d: np.ndarray) -> np.ndarray:
 
 
 def sample_centers(n: int, n_rbf: int, box, seed: int = 0) -> LiftingDictionary:
-    """Draw ``n_rbf`` distinct centers uniformly from a per-dimension box.
+    """Draw ``n_rbf`` centers uniformly from a per-dimension box.
 
-    ``box`` is (n, 2) rows of [low, high].  Draws closer than 1e-9 to an
-    accepted center are rejected and redrawn, so the result is deterministic
-    given the seed.
+    ``box`` is (n, 2) rows of [low, high].  The centers are one draw of
+    ``n_rbf`` rows, deterministic given the seed.
 
     Raises:
-        ValueError: ``n_rbf`` negative or the box not finite.
+        ValueError: ``n_rbf`` negative, the box not finite, or two centers
+            closer than 1e-9 (:class:`LiftingDictionary` rejects them).
     """
     if n_rbf < 0:
         raise ValueError(f"the number of RBF centers must be nonnegative, got n_rbf={n_rbf}")
     box = np.asarray(box, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(box)):
         raise ValueError("sampling box must be finite")
-    rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    attempts = 0
-    while len(accepted) < n_rbf:
-        c = rng.uniform(box[:, 0], box[:, 1])
-        if all(np.linalg.norm(c - a) >= 1e-9 for a in accepted):
-            accepted.append(c)
-        attempts += 1
-        if attempts > 1000 * max(n_rbf, 1):
-            raise RuntimeError("could not draw distinct centers; box too degenerate")
-    centers = np.array(accepted).reshape(n_rbf, n)
+    centers = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(n_rbf, n))
     return LiftingDictionary(n=n, centers=centers)
 
 

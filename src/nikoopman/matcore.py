@@ -104,6 +104,15 @@ def pinv(a: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(np.atleast_2d(np.asarray(a, dtype=float)), rcond=TOL.pinv_rcond)
 
 
+def pivot_floor(a_norm):
+    """LU pivot below which a matrix counts as singular to working precision.
+
+    ``a_norm`` is the matrix's infinity norm, a scalar or an array of them;
+    the floor is ``TOL.solve_pivot * max(a_norm, tiny)``, elementwise.
+    """
+    return TOL.solve_pivot * np.maximum(a_norm, np.finfo(float).tiny)
+
+
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:  # empty system: solution is the (empty) rhs
         return b.copy()
@@ -112,8 +121,7 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
     pivots = np.abs(np.diag(lu))
-    a_norm = np.linalg.norm(a, np.inf)
-    if pivots.min() < TOL.solve_pivot * max(a_norm, np.finfo(float).tiny):
+    if pivots.min() < pivot_floor(np.linalg.norm(a, np.inf)):
         raise SingularMatrixError(
             f"matrix singular to working precision (min pivot {pivots.min():.3e})"
         )
@@ -124,7 +132,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for real square ``a`` via partial-pivot LU.
 
     Raises:
-        SingularMatrixError: pivot below ``TOL.solve_pivot * ||a||_inf``.
+        SingularMatrixError: an LU pivot below :func:`pivot_floor`.
     """
     a = _square(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)

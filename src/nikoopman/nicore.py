@@ -8,7 +8,10 @@ P > 0 with A P + P A' <= 0 and B = -A P C'.  This module provides
 * the bilinear map between discrete and continuous realizations that
   transports that certificate to A_d P A_d' - P <= 0 and the matching B_d
   equality,
+* the factors of that B_d equality, shared by the residual check and the
+  certificate completion,
 * residual evaluation of those discrete conditions for a given P,
+* the linear state recursion of a discrete realization,
 * grid-based frequency-domain NI checks,
 * the strictly-NI positive-position-feedback (PPF) controller
   K / (s^2 + 2 zeta w s + w^2) and the positive-feedback interconnection
@@ -21,6 +24,7 @@ residual path is the certificate of record.  Reports carry both.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +71,21 @@ class DiscreteLinearModel:
     @property
     def order(self) -> int:
         return self.A.shape[0]
+
+
+def linear_recursion(A: np.ndarray, B: np.ndarray, x0, inputs: np.ndarray) -> np.ndarray:
+    """States x_0 = x0, x_{j+1} = A x_j + B u_j along the rows u_j of ``inputs``.
+
+    The terms B u_j of every step are written in place by one product before
+    the recursion adds A x_j; with one input each entry is a single product,
+    so the states equal those of the step-by-step recursion bit for bit.
+    """
+    states = np.empty((inputs.shape[0] + 1, A.shape[0]))
+    states[0] = x0
+    np.matmul(inputs, B.T, out=states[1:])
+    for x, nxt in zip(states, states[1:]):
+        nxt += A @ x
+    return states
 
 
 @dataclass(frozen=True)
@@ -143,9 +162,12 @@ def to_discrete(c: ContinuousLinearModel, T: float) -> DiscreteLinearModel:
     """Exact algebraic inverse of :func:`to_continuous`.
 
     A_d = (I - T A)^-1 (I + T A); B_d, C_d, D_d follow from the forward map.
+
+    Raises:
+        ValueError: T not positive and finite.
     """
-    if T <= 0:
-        raise ValueError(f"sampling time must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"sampling time must be positive and finite, got {T}")
     n = c.order
     eye = np.eye(n)
     Ad = matcore.solve(eye - T * c.A, eye + T * c.A)
@@ -176,6 +198,19 @@ class NiResiduals:
     certified: bool
 
 
+def ni_input_factors(A: np.ndarray, C: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (M, v) of the NI input equality B_d(P) = M P v.
+
+    The equality B_d = -(1/T)(A_d - I) P (I + A_d')^-1 C_d' is linear in the
+    certificate P, with M = -(1/T)(A_d - I) and v = (I + A_d')^-1 C_d'.
+
+    Raises:
+        SingularMatrixError: I + A_d is singular.
+    """
+    eye = np.eye(A.shape[0])
+    return -(1.0 / T) * (A - eye), matcore.solve((eye + A).T, C.T)
+
+
 def discrete_ni_residuals(mdl: DiscreteLinearModel, P: np.ndarray) -> NiResiduals:
     """Evaluate the discrete NI conditions for a candidate certificate P.
 
@@ -189,10 +224,8 @@ def discrete_ni_residuals(mdl: DiscreteLinearModel, P: np.ndarray) -> NiResidual
     lyap = mdl.A @ P @ mdl.A.T - P
     lyap_max = float(matcore.sym_eig(lyap).eigenvalues[0])
     p_min = float(matcore.sym_eig(P).eigenvalues[-1])
-    b_target = -(1.0 / mdl.T) * (mdl.A - np.eye(mdl.order)) @ P @ matcore.solve(
-        (np.eye(mdl.order) + mdl.A).T, mdl.C.T
-    )
-    b_gap = float(np.linalg.norm(mdl.B - b_target))
+    M, v = ni_input_factors(mdl.A, mdl.C, mdl.T)
+    b_gap = float(np.linalg.norm(mdl.B - M @ P @ v))
     tol = TOL.ni_residual
     certified = lyap_max <= tol and p_min >= -tol and b_gap <= tol
     return NiResiduals(lyap_max_eig=lyap_max, b_eq_gap=b_gap, p_min_eig=p_min, certified=certified)
@@ -215,7 +248,7 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
     frequencies and each is solved by LAPACK getrf/getrs directly, without the
     per-call checks of the scipy wrappers; C X + D is formed for each block in
     one stacked product.  A frequency is on a pole when the smallest LU pivot
-    is below ``TOL.solve_pivot * ||jw I - A||_inf``, the test of
+    is below :func:`matcore.pivot_floor` of ``||jw I - A||_inf``, the test of
     :func:`matcore.csolve`.
 
     Raises:
@@ -236,9 +269,7 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
         w = omegas[k0 : k0 + FREQ_CHUNK]
         M = (1j * w)[:, None, None] * eye - c.A
         # csolve's pivot threshold, from ||jw I - A||_inf before factorizing
-        pivot_min = TOL.solve_pivot * np.maximum(
-            np.linalg.norm(M, np.inf, axis=(1, 2)), np.finfo(float).tiny
-        )
+        pivot_min = matcore.pivot_floor(np.linalg.norm(M, np.inf, axis=(1, 2)))
         for k in range(w.size):
             lu, piv, _ = getrf(M[k], overwrite_a=True)
             if np.abs(lu.diagonal()).min() < pivot_min[k]:
@@ -426,10 +457,15 @@ def model_from_json_dict(
     return mdl, d.get("solver"), continuous
 
 
-def save_model(path, mdl: DiscreteLinearModel, **blocks) -> None:
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON indented by 2, keys sorted, with a final newline."""
     with open(path, "w") as fh:
-        json.dump(model_to_json_dict(mdl, **blocks), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_model(path, mdl: DiscreteLinearModel, **blocks) -> None:
+    write_json(path, model_to_json_dict(mdl, **blocks))
 
 
 def load_model(

@@ -48,8 +48,7 @@ def scenario():
     dictionary = lifting.make_dictionary(train, n_rbf=6, seed=CENTER_SEED)
     t0 = time.time()
     constrained = identify.identify_ni(
-        train, dictionary,
-        identify.IdentifyConfig(alpha=ALPHA, strict_b=True, max_iters=200000),
+        train, dictionary, alpha=ALPHA, strict_b=True, max_iters=200000
     )
     fit_seconds = time.time() - t0
     unconstrained = identify.identify_unconstrained(train, dictionary)
@@ -232,8 +231,7 @@ def test_criterion_6_exact_recovery():
     )
     dictionary = lifting.LiftingDictionary(n=2, centers=np.zeros((0, 2)))
     res = identify.identify_ni(
-        traj, dictionary,
-        identify.IdentifyConfig(alpha=ALPHA, strict_b=True, max_iters=100000),
+        traj, dictionary, alpha=ALPHA, strict_b=True, max_iters=100000
     )
     import scipy.linalg
 

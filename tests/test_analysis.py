@@ -200,22 +200,30 @@ def test_compare_report_json_serializable():
 
     params, traj = linear_traj()
     lin = analysis.linearize_msd(params, [0.0, 0.0])
+    bad = CandidateModel(name="bad", continuous=nicore.ContinuousLinearModel(
+        A=np.zeros((2, 2)), B=np.ones((2, 1)), C=np.ones((1, 2)), D=np.zeros((1, 1))))
     report = analysis.compare_models(
         traj,
-        [CandidateModel(name="lin", continuous=lin)],
+        [CandidateModel(name="lin", continuous=lin), bad],
         ctrl=PpfController(),
-        provenance={"seed": 0},
+        provenance={"seed": 0, "ppf": None},
     )
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert "closed_loop" in text and '"seed": 0' in text
+    payload = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))
+    # None fields and the repr=False ones (loop, response, predicted states)
+    # are not saved; a None inside the provenance dict is
+    assert payload["provenance"] == {"seed": 0, "ppf": None}
+    good, failed = payload["models"]
+    assert set(good) == {"name", "mse_states", "mse_outputs", "phase", "dc_gain",
+                         "closed_loop"}
+    assert set(good["closed_loop"]) == {"dc_gain_lambda_max", "spectral_radius", "verdict"}
+    assert good["mse_states"] == report.models[0].mse_states.tolist()
+    assert set(failed) == {"name", "error"}
 
 
 def test_compare_lifted_model_with_certificate():
     params, traj = linear_traj(seed=3, L=400)
     dic = lifting.LiftingDictionary(n=2, centers=np.zeros((0, 2)))
-    res = identify.identify_ni(
-        traj, dic, identify.IdentifyConfig(alpha=1e-5, strict_b=True, max_iters=100000)
-    )
+    res = identify.identify_ni(traj, dic, alpha=1e-5, strict_b=True, max_iters=100000)
     entry = CandidateModel(name="ni", discrete=res.model, P=res.ni.P)
     report = analysis.compare_models(traj, [entry], ctrl=PpfController())
     rep = report.models[0]

@@ -305,8 +305,7 @@ def test_identify_linear_ground_truth():
         InputSignal(kind="random", amplitude=1.0, hold=10, seed=2), T=0.01, L=400,
     )
     res = identify.identify_ni(
-        traj, identity_dict(),
-        identify.IdentifyConfig(alpha=1e-5, strict_b=True, max_iters=100000),
+        traj, identity_dict(), alpha=1e-5, strict_b=True, max_iters=100000
     )
     A = np.array([[0.0, 1.0], [-1.0, -1.0]])
     B = np.array([[0.0], [1.0]])

@@ -16,10 +16,20 @@ def test_sample_centers_empty():
 
 
 def test_sample_centers_deterministic():
-    box = [[-1, 1], [-1, 1]]
+    box = np.array([[-1.0, 1.0], [0.5, 2.0]])
     a = lifting.sample_centers(2, 6, box, seed=5)
     b = lifting.sample_centers(2, 6, box, seed=5)
     assert np.array_equal(a.centers, b.centers)
+    # the one batched draw gives the centers of six draws of one center each,
+    # which every saved model's dictionary was drawn with
+    rng = np.random.default_rng(5)
+    sequential = [rng.uniform(box[:, 0], box[:, 1]) for _ in range(6)]
+    assert np.array_equal(a.centers, sequential)
+
+
+def test_sample_centers_coincident_rejected():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        lifting.sample_centers(2, 2, [[0.5, 0.5], [-1, -1]], seed=0)
 
 
 def test_sample_centers_in_box_and_distinct():
