@@ -151,8 +151,8 @@ class TrajectoryData:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        if self.T <= 0:
-            raise ValueError(f"sampling time must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"sampling time must be positive and finite, got {self.T}")
         if states.shape[0] != outputs.shape[0] or states.shape[0] != inputs.shape[0] + 1:
             raise ValueError(
                 f"inconsistent sample counts: {states.shape[0]} states, "

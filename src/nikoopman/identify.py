@@ -141,12 +141,6 @@ class NiProgramSolution:
     completion: CertificateCompletion | None = None
 
 
-def _fro(x: np.ndarray) -> float:
-    # np.linalg.norm(x) for a real array, without its dispatch
-    x = x.ravel(order="K")
-    return math.sqrt(x @ x)
-
-
 def _lmi_block(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
     N = P.shape[0]
     out = np.empty((2 * N, 2 * N))
@@ -209,40 +203,76 @@ def solve_ni(
 
     f, GtV, UH, denom = factorize(rho)
 
-    P = eye.copy()
-    Q = G_A.copy()
-    Z = matcore.psd_project(_lmi_block(P, Q, alpha))
+    Z = matcore.psd_project(_lmi_block(eye, G_A, alpha))
     U = np.zeros((2 * N, 2 * N))
     alpha_eye = alpha * eye
-    SX = np.empty((2 * N, 2 * N))  # the LMI block S(X), refilled every iteration
+
+    # one workspace, refilled in place every iteration in the order of the
+    # formulas; P and Q stay contiguous for their matmuls, and the residual
+    # norms are the ddot of each flat buffer with itself
+    M = np.empty((2 * N, 2 * N))  # Z - U
+    M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
+    SX = np.empty((2 * N, 2 * N))  # the LMI block S(X)
+    SX11, SX12, SX21, SX22 = SX[:N, :N], SX[:N, N:], SX[N:, :N], SX[N:, N:]
+    A = np.empty((2 * N, 2 * N))  # S(X) + U, the point projected
+    step = np.empty((2 * N, 2 * N))  # S(X) - Z_new
+    dZ = np.empty((2 * N, 2 * N))  # Z_new - Z
+    P, Q, R, cross, W1, W2 = (np.empty((N, N)) for _ in range(6))  # W1, W2: scratch
+    sx, st, dz = SX.ravel(), step.ravel(), dZ.ravel()
+
+    def dual_res():
+        # rho ||Z_new - Z||, formed only where it is read: by the stop test
+        # once the primal residual has passed, by the step-size balancing and
+        # by the returned record
+        np.subtract(Z, Z_prev, out=dZ)
+        return rho * math.sqrt(dz @ dz)
 
     primal = dual = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        M = Z - U
-        M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
-        cross = GtV @ M12
-        R = rho * (alpha_eye + M11 + M22 + cross + cross.T)
-        P = UH @ ((UH.T @ R @ UH) / denom) @ UH.T
-        P = 0.5 * (P + P.T)
-        Q = f * (G_C @ P + rho * M12)
+        np.subtract(Z, U, out=M)
+        np.matmul(GtV, M12, out=cross)
+        # R = rho * (alpha I + M11 + M22 + cross + cross')
+        np.add(alpha_eye, M11, out=R)
+        R += M22
+        R += cross
+        R += cross.T
+        R *= rho
+        # P = UH ((UH' R UH) / denom) UH', symmetrized
+        np.matmul(UH.T, R, out=W1)
+        np.matmul(W1, UH, out=W2)
+        W2 /= denom
+        np.matmul(UH, W2, out=W1)
+        np.matmul(W1, UH.T, out=W2)
+        np.add(W2, W2.T, out=P)
+        P *= 0.5
+        # Q = f (G_A P + rho M12)
+        np.matmul(G_C, P, out=Q)
+        np.multiply(M12, rho, out=W1)
+        Q += W1
+        Q *= f
 
-        np.subtract(P, alpha_eye, out=SX[:N, :N])
-        SX[:N, N:] = Q
-        SX[N:, :N] = Q.T
-        SX[N:, N:] = P
-        Z_new = matcore.psd_project(SX + U)
-        step = SX - Z_new
-        primal = _fro(step)
-        dual = rho * _fro(Z_new - Z)
+        np.subtract(P, alpha_eye, out=SX11)
+        SX12[...] = Q
+        SX21[...] = Q.T
+        SX22[...] = P
+        np.add(SX, U, out=A)
+        Z_prev, Z = Z, matcore.psd_project(A)
+        np.subtract(SX, Z, out=step)
+        primal = math.sqrt(st @ st)
+        dual = None
         U += step
-        Z = Z_new
-        scale = max(1.0, _fro(SX), _fro(Z))
-        if primal <= tol * scale and dual <= tol * scale:
-            converged = True
-            break
+        z = Z.ravel()
+        scale = max(1.0, math.sqrt(sx @ sx), math.sqrt(z @ z))
+        if primal <= tol * scale:
+            dual = dual_res()
+            if dual <= tol * scale:
+                converged = True
+                break
         if iterations % 50 == 0:
+            if dual is None:
+                dual = dual_res()
             if primal > 10.0 * dual and rho < 1e6:
                 factor = 2.0
             elif dual > 10.0 * primal and rho > 1e-6:
@@ -252,6 +282,8 @@ def solve_ni(
             rho *= factor
             U /= factor
             f, GtV, UH, denom = factorize(rho)
+    if dual is None:
+        dual = dual_res()
 
     # post-hoc feasibility: shifting P by delta I moves the whole block by
     # exactly delta I, so one shift restores lambda_min >= 0

@@ -4,8 +4,7 @@ Matrices are plain 2-D numpy arrays (float64 real, complex128 complex),
 row-major.  The helpers here wrap numpy/scipy LAPACK routines behind the
 small set of operations the identification pipeline needs: symmetric
 eigendecomposition, PSD cone projection, pseudoinverse and linear solves with
-explicit singularity detection.  The eigendecomposition and the PSD
-projection share one call of LAPACK ``syevd``.
+explicit singularity detection.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ class SymEig:
     eigenvectors: np.ndarray
 
 
-def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigenvalues (descending) and eigenvectors of (a + a')/2, both C-ordered
-    a = _square(np.asarray(a, dtype=float))
-    s = 0.5 * (a + a.T)
-    w, v, info = _SYEVD(s, lower=1)
-    if info != 0:
-        raise NotConvergedError(f"syevd did not converge (info = {info})")
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def sym_eig(a: np.ndarray) -> SymEig:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -78,20 +67,32 @@ def sym_eig(a: np.ndarray) -> SymEig:
         NonSquareError: if ``a`` is not square.
         NotConvergedError: if LAPACK fails to converge.
     """
-    return SymEig(*_eigh_descending(a))
+    a = _square(np.asarray(a, dtype=float))
+    w, v, info = _SYEVD(0.5 * (a + a.T), lower=1)
+    if info != 0:
+        raise NotConvergedError(f"syevd did not converge (info = {info})")
+    return SymEig(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive-semidefinite matrix to ``a``.
+    """Frobenius-nearest positive-semidefinite matrix to a symmetric ``a``.
 
-    Symmetrizes, clips negative eigenvalues at zero and reassembles.
+    Only the lower triangle of ``a`` is read, as LAPACK ``syevd`` reads it:
+    the result is the projection of the symmetric matrix that triangle
+    defines, so callers pass an exactly symmetric ``a``.  Clips negative
+    eigenvalues at zero and reassembles an exactly symmetric result.
 
     Raises:
         NonSquareError: if ``a`` is not square.
         NotConvergedError: if LAPACK fails to converge.
     """
-    w, v = _eigh_descending(a)
-    out = (v * np.maximum(w, 0.0)) @ v.T
+    a = _square(np.asarray(a, dtype=float))
+    w, v, info = _SYEVD(a, lower=1)
+    if info != 0:
+        raise NotConvergedError(f"syevd did not converge (info = {info})")
+    # descending eigenvalue order, the summation order of the reassembly
+    v = v[:, ::-1].copy()
+    out = (v * np.maximum(w[::-1], 0.0)) @ v.T
     return 0.5 * (out + out.T)
 
 

@@ -65,8 +65,8 @@ class DiscreteLinearModel:
 
     def __post_init__(self):
         _check_dims(self)
-        if self.T <= 0:
-            raise ValueError(f"sampling time must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"sampling time must be positive and finite, got {self.T}")
 
     @property
     def order(self) -> int:

@@ -382,7 +382,8 @@ def test_eigen_kernels_match_eigh(n):
         else:
             assert np.array_equal(got.eigenvalues, want[0], equal_nan=True)
             assert np.array_equal(got.eigenvectors, want[1], equal_nan=True)
-        got = _result_or_error(matcore.psd_project, a)
+        # psd_project takes a symmetric matrix; the oracle symmetrizes a itself
+        got = _result_or_error(matcore.psd_project, 0.5 * (a + a.T))
         want = _result_or_error(psd_project_eigh, a)
         if isinstance(want, str):
             assert got == want
@@ -417,12 +418,57 @@ def test_solve_ni_matches_weighted_admm(readme_train, n_rbf):
 
 def test_solve_ni_matches_weighted_admm_at_checkpoints(readme_train):
     # the iterate path after every iteration count in 1..60, where one ulp in
-    # a residual norm would show before it can flip a step-size decision
+    # a residual norm would show before it can flip a step-size decision, and
+    # around the second step-size change (iteration 1250); the counts that are
+    # not multiples of 50 end on an iteration whose dual residual is formed
+    # only for the returned record
     dictionary = lifting.make_dictionary(readme_train, n_rbf=6, seed=0)
     sol = identify.edmd_fit(lifting.build_matrices(readme_train, dictionary))
-    for max_iters in range(1, 61):
+    rho_changes = {}
+    for max_iters in [*range(1, 61), 137, 1001, 1249, 1250, 1251]:
         got = identify.solve_ni(sol.G_A, alpha=1e-5, max_iters=max_iters)
         want = solve_ni_weighted(sol.G_A, 1e-5, max_iters, identify.TOL.admm_rel)
+        rho_changes[max_iters] = want["rho_changes"]
         assert got.primal_res == want["primal_res"], max_iters
         assert got.dual_res == want["dual_res"], max_iters
         assert np.array_equal(got.P, want["P"]), max_iters
+    assert (rho_changes[49], rho_changes[50], rho_changes[1249], rho_changes[1250]) == (0, 1, 1, 2)
+
+
+@pytest.mark.parametrize("program", ["readme-6", "readme-16", "scalar-g1"])
+def test_solve_ni_projects_only_symmetric_matrices(readme_train, monkeypatch, program):
+    # psd_project reads the lower triangle only, so it matches the
+    # symmetrize-then-project oracle bit for bit only on exactly symmetric input
+    if program == "scalar-g1":
+        G_A, alpha = np.array([[1.0]]), 1.0
+    else:
+        n_rbf = int(program.split("-")[1])
+        dictionary = lifting.make_dictionary(readme_train, n_rbf=n_rbf, seed=0)
+        G_A = identify.edmd_fit(lifting.build_matrices(readme_train, dictionary)).G_A
+        alpha = 1e-5
+    project = matcore.psd_project
+    calls = []
+
+    def checked(a):
+        assert np.array_equal(a, a.T)
+        calls.append(1)
+        return project(a)
+
+    monkeypatch.setattr(matcore, "psd_project", checked)
+    sol = identify.solve_ni(G_A, alpha=alpha, max_iters=500)
+    assert len(calls) == sol.iterations + 1
+
+
+def test_solve_ni_raises_when_syevd_fails_mid_run(monkeypatch):
+    syevd = matcore._SYEVD
+    calls = []
+
+    def failing_on_tenth(a, lower=0):
+        calls.append(1)
+        w, v, info = syevd(a, lower=lower)
+        return w, v, 1 if len(calls) == 10 else info
+
+    monkeypatch.setattr(matcore, "_SYEVD", failing_on_tenth)
+    with pytest.raises(matcore.NotConvergedError, match="info = 1"):
+        identify.solve_ni(2.0 * np.eye(3), alpha=1.0, max_iters=100)
+    assert len(calls) == 10

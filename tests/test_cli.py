@@ -355,5 +355,24 @@ def test_validate_isolates_model_without_bilinear_image(
             assert all(c == "" for c in cells[width:]), name
 
 
+def test_validate_rejects_non_finite_sampling_time(linear_traj_file, tmp_path, capsys):
+    # a model file whose T is not a positive finite number fails to load
+    # (exit 5) and names T, for NaN and inf as for a negative T
+    plain = tmp_path / "plain.json"
+    assert run(["identify", "--traj", str(linear_traj_file), "--nrbf", "2",
+                "--mode", "unconstrained", "--out", str(plain)]) == 0
+    payload = json.loads(plain.read_text())
+    for T in (-1.0, float("nan"), float("inf")):
+        payload["T"] = T
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["validate", "--models", str(bad), "--traj", str(linear_traj_file),
+                    "--out-dir", str(tmp_path / "val")]) == 5, T
+        err = capsys.readouterr().err
+        assert f"sampling time must be positive and finite, got {T}" in err, T
+        assert not (tmp_path / "val").exists()
+
+
 def test_help_exits_cleanly():
     assert run(["--help"]) == 0

@@ -247,6 +247,14 @@ def test_trajectory_csv_short_then_long_row(tmp_path):
         TrajectoryData.from_csv("\n".join(lines))
 
 
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_trajectory_csv_non_finite_sampling_time(tmp_path, T):
+    lines = _csv_with_row(tmp_path, 0, "0.0,0.0,0.0,1.0,0.0").splitlines()
+    lines[0] = f"# T={T}"
+    with pytest.raises(ValueError, match="sampling time must be positive and finite"):
+        TrajectoryData.from_csv("\n".join(lines))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectoryData(T=0.1, states=np.zeros((3, 2)), inputs=np.zeros((1, 1)), outputs=np.zeros((3, 1)))

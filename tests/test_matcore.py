@@ -95,6 +95,17 @@ def test_psd_project_idempotent_and_in_cone():
         assert min_eig >= -TOL.psd_coneward * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("n", [2, 5, 16, 36])
+def test_psd_project_reads_lower_triangle_only(n):
+    # the contract of syevd(lower=1): the strict upper triangle is never read
+    rng = np.random.default_rng(n)
+    a = rand_symmetric(rng, n)
+    scribbled = a.copy()
+    iu = np.triu_indices(n, 1)
+    scribbled[iu] = rng.normal(size=iu[0].size)
+    assert np.array_equal(matcore.psd_project(scribbled), matcore.psd_project(a))
+
+
 def test_psd_project_frobenius_nearest_blend_oracle():
     # Brute force: blends (1-t) * projection + t * candidate stay inside the
     # cone, so no blend may come closer to the input than the projection.
