@@ -54,12 +54,11 @@ from .nicore import (
     to_continuous,
     to_discrete,
 )
-from .tolerances import TOL, Tolerances, scaled_tolerances
+from .tolerances import TOL, Tolerances
 
 __all__ = [
     "TOL",
     "Tolerances",
-    "scaled_tolerances",
     "MsdParams",
     "InputSignal",
     "TrajectoryData",

@@ -10,8 +10,8 @@ Four file-based stages with deterministic seeds:
 Exit codes: 0 ok, 2 usage errors, 3 simulation divergence, 4 a solver stage
 (the NI program or the certificate completion) stopped before its target
 (output still written, flagged), 5 validation could not produce a report.
-Every output file embeds the resolved configuration.  The environment
-variable ``NIKOOPMAN_TOL_SCALE`` scales all numeric tolerances.
+Every output file embeds the resolved configuration: every parsed option of
+its subcommand except the output path.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ def _parse_grid(text: str) -> np.ndarray:
     return nicore.default_frequency_grid(w_min, w_max, int(n_pts))
 
 
-def _config_json(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _config_json(args: argparse.Namespace) -> dict:
+    """Every parsed option except the subcommand, its handler and the output path."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out", "out_dir")}
 
 
 def _msd_from_args(args) -> dynamics.MsdParams:
@@ -89,12 +90,8 @@ def cmd_simulate(args) -> int:
     except dynamics.NonFiniteTrajectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    cfg = _config_json(
-        args,
-        ["m", "k1", "k3", "b0", "b1", "b2", "x0", "input",
-         "amplitude", "hold", "T", "steps", "seed"],
-    )
-    traj.save_csv(args.out, extra_comments=[f"config={json.dumps(cfg, sort_keys=True)}"])
+    config = json.dumps(_config_json(args), sort_keys=True)
+    traj.save_csv(args.out, extra_comments=[f"config={config}"])
     print(f"wrote {args.out} ({traj.L} steps, T={traj.T})")
     return EXIT_OK
 
@@ -106,9 +103,6 @@ def cmd_identify(args) -> int:
         return EXIT_USAGE
     traj = dynamics.TrajectoryData.load_csv(path)
     dictionary = lifting.make_dictionary(traj, n_rbf=args.nrbf, seed=args.center_seed)
-    cfg_json = _config_json(
-        args, ["traj", "nrbf", "center_seed", "alpha", "mode", "strict_b", "max_iters"]
-    )
     exit_code = EXIT_OK
     if args.mode == "unconstrained":
         result = identify.identify_unconstrained(traj, dictionary)
@@ -141,7 +135,7 @@ def cmd_identify(args) -> int:
                 "b_fit_rel", "iterations", "gap", "converged", "bound_active")}
         if not ni.converged or (comp is not None and not comp.converged):
             exit_code = EXIT_SOLVER
-    nicore.save_model(args.out, result.model, solver=solver, config=cfg_json)
+    nicore.save_model(args.out, result.model, solver=solver, config=_config_json(args))
     flag = "" if exit_code == EXIT_OK else " (solver not converged, flagged)"
     print(f"wrote {args.out}{flag}")
     return exit_code
@@ -152,17 +146,9 @@ def cmd_linearize(args) -> int:
     x0 = _parse_floats(args.x0, 2, "--x0")
     cont = analysis.linearize_msd(params, x0)
     disc = nicore.to_discrete(cont, args.T)
-    cfg_json = _config_json(
-        args, ["m", "k1", "k3", "b0", "b1", "b2", "x0", "T"]
-    )
-    nicore.save_model(args.out, disc, config=cfg_json, continuous=cont)
+    nicore.save_model(args.out, disc, config=_config_json(args), continuous=cont)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    with open(path, "w") as fh:
-        dynamics.write_csv(fh, header, columns)
 
 
 def _suffixed(base: list[str], names: list[str]) -> list[str]:
@@ -198,9 +184,8 @@ def cmd_validate(args) -> int:
             candidates.append(analysis.CandidateModel(
                 name=p.stem, discrete=mdl if cont is None else None, continuous=cont, P=P
             ))
-        cfg_json = _config_json(args, ["models", "traj", "ppf", "grid", "steps"])
         report = analysis.compare_models(
-            reference, candidates, ctrl=ctrl, omegas=omegas, provenance=cfg_json
+            reference, candidates, ctrl=ctrl, omegas=omegas, provenance=_config_json(args)
         )
     except nicore.PoleOnGridError:
         raise  # a usage error (exit 2), raised before anything is written
@@ -250,7 +235,8 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     nicore.write_json(out_dir / "report.json", report.to_json_dict())
     for name, header, columns in csvs:
-        _write_csv(out_dir / name, header, columns)
+        with open(out_dir / name, "w") as fh:
+            dynamics.write_csv(fh, header, columns)
 
     print(f"wrote {out_dir}/report.json and plot CSVs")
     return EXIT_OK
@@ -267,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the plant and write a trajectory CSV")
     _add_plant_args(p)
     p.add_argument("--x0", default="0,0", help=X0_HELP)
-    p.add_argument("--input", default="random", choices=["random", "prbs", "sine", "zero"])
+    p.add_argument("--input", default="random", choices=["random", "prbs", "zero"])
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--hold", type=int, default=25, help="samples per input plateau")
     p.add_argument("--T", type=float, default=0.01, help="sampling time, seconds")

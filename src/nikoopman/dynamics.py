@@ -68,7 +68,6 @@ class InputSignal:
     kind:
         ``random``  uniform(-amplitude, amplitude) plateaus of ``hold`` samples
         ``prbs``    +/- amplitude plateaus of ``hold`` samples
-        ``sine``    amplitude * sin(2 pi j / hold), i.e. ``hold`` samples/period
         ``zero``    all zeros
     """
 
@@ -77,7 +76,7 @@ class InputSignal:
     hold: int = 1
     seed: int = 0
 
-    _KINDS = ("random", "prbs", "sine", "zero")
+    _KINDS = ("random", "prbs", "zero")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -99,8 +98,6 @@ def make_input(spec: InputSignal, L: int) -> np.ndarray:
     n_plateaus = -(-L // spec.hold)  # ceil
     if spec.kind == "zero":
         return np.zeros((L, 1))
-    if spec.kind == "sine":
-        return spec.amplitude * np.sin(2.0 * np.pi * np.arange(L)[:, None] / spec.hold)
     if spec.kind == "random":
         levels = rng.uniform(-spec.amplitude, spec.amplitude, size=(n_plateaus, 1))
     else:  # prbs

@@ -15,7 +15,9 @@ P > 0 with A P + P A' <= 0 and B = -A P C'.  This module provides
 * grid-based frequency-domain NI checks,
 * the strictly-NI positive-position-feedback (PPF) controller
   K / (s^2 + 2 zeta w s + w^2) and the positive-feedback interconnection
-  with its DC-gain coupling number lambda_max(G(0) Gbar(0)).
+  with a strictly proper controller, with its DC-gain coupling number
+  lambda_max(G(0) Gbar(0)),
+* JSON serialization of models (:func:`save_model`, :func:`load_model`).
 
 Grid checks are necessary conditions evaluated on a finite grid; the LMI
 residual path is the certificate of record.  Reports carry both.
@@ -46,10 +48,6 @@ class PoleOnGridError(ValueError):
     def __init__(self, omega: float):
         self.omega = omega
         super().__init__(f"frequency grid hits a pole at omega = {omega:g} rad/s")
-
-
-class IllPosedLoopError(ValueError):
-    """The feedback interconnection has a singular algebraic loop."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,11 @@ class ContinuousLinearModel:
         return self.A.shape[0]
 
 
+MATRICES = ("A", "B", "C", "D")  # the realization arrays, in model and JSON alike
+
+
 def _check_dims(mdl) -> None:
-    for name in ("A", "B", "C", "D"):
+    for name in MATRICES:
         object.__setattr__(mdl, name, np.atleast_2d(np.asarray(getattr(mdl, name), dtype=float)))
     n = mdl.A.shape[0]
     if mdl.A.shape != (n, n):
@@ -353,108 +354,46 @@ def positive_feedback(
 ) -> PositiveFeedback:
     """Close the loop u = ybar + r around the plant with controller input y.
 
+    The controller must be strictly proper (Dbar = 0), as the PPF controller
+    is; the NI stability theorem is stated for G(inf) Gbar(inf) = 0, and the
+    loop then has no algebraic part:
+
+        A_cl = [[A, B Cbar], [Bbar C, Abar + Bbar D Cbar]],
+        B_cl = [B; Bbar D],  C_cl = [C, D Cbar],  D_cl = D.
+
     Returns the r -> y realization together with
     lambda_max(G(0) Gbar(0)), the coupling number whose being < 1 is the
     NI/SNI internal-stability condition.
 
     Raises:
-        IllPosedLoopError: I - D Dbar singular (algebraic loop).
+        ValueError: controller I/O dimensions that do not mirror the plant,
+            or a controller feedthrough Dbar that is not zero.
     """
-    n, nb = plant.order, ctrl.order
     l, m = plant.C.shape[0], plant.B.shape[1]
     if ctrl.B.shape[1] != l or ctrl.C.shape[0] != m:
         raise ValueError("controller I/O dimensions must mirror the plant")
-    loop = np.eye(l) - plant.D @ ctrl.D
-    try:
-        E = matcore.solve(loop, np.eye(l))
-    except SingularMatrixError as exc:
-        raise IllPosedLoopError("I - D Dbar is singular") from exc
-    # y = E (C x + D Cbar xbar + D r)
+    if np.any(ctrl.D):
+        raise ValueError("the controller must be strictly proper (Dbar = 0)")
     A_cl = np.block(
         [
-            [plant.A + plant.B @ ctrl.D @ E @ plant.C, plant.B @ ctrl.C + plant.B @ ctrl.D @ E @ plant.D @ ctrl.C],
-            [ctrl.B @ E @ plant.C, ctrl.A + ctrl.B @ E @ plant.D @ ctrl.C],
+            [plant.A, plant.B @ ctrl.C],
+            [ctrl.B @ plant.C, ctrl.A + ctrl.B @ plant.D @ ctrl.C],
         ]
     )
-    B_cl = np.vstack([plant.B + plant.B @ ctrl.D @ E @ plant.D, ctrl.B @ E @ plant.D])
-    C_cl = np.hstack([E @ plant.C, E @ plant.D @ ctrl.C])
-    D_cl = E @ plant.D
+    B_cl = np.vstack([plant.B, ctrl.B @ plant.D])
+    C_cl = np.hstack([plant.C, plant.D @ ctrl.C])
     g0 = dc_gain(plant) @ dc_gain(ctrl)
     if g0.shape == (1, 1):
         lam = float(g0[0, 0])
     else:
         lam = float(np.max(np.linalg.eigvals(g0).real))
-    closed = ContinuousLinearModel(A=A_cl, B=B_cl, C=C_cl, D=D_cl)
+    closed = ContinuousLinearModel(A=A_cl, B=B_cl, C=C_cl, D=plant.D.copy())
     return PositiveFeedback(model=closed, dc_gain_lambda_max=lam)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def model_to_json_dict(
-    mdl: DiscreteLinearModel,
-    solver: dict | None = None,
-    config: dict | None = None,
-    continuous: ContinuousLinearModel | None = None,
-) -> dict:
-    """JSON payload for a discrete model (row-major arrays).
-
-    Optional blocks: ``solver`` diagnostics (including the certificate P),
-    the resolved run ``config`` and a ``continuous`` realization.
-    """
-    out = {
-        "T": mdl.T,
-        "A": mdl.A.tolist(),
-        "B": mdl.B.tolist(),
-        "C": mdl.C.tolist(),
-        "D": mdl.D.tolist(),
-        "dict": mdl.dictionary.to_json_dict() if mdl.dictionary is not None else None,
-    }
-    if solver is not None:
-        out["solver"] = solver
-    if config is not None:
-        out["config"] = config
-    if continuous is not None:
-        out["continuous"] = {
-            "A": continuous.A.tolist(),
-            "B": continuous.B.tolist(),
-            "C": continuous.C.tolist(),
-            "D": continuous.D.tolist(),
-        }
-    return out
-
-
-def model_from_json_dict(
-    d: dict,
-) -> tuple[DiscreteLinearModel, dict | None, ContinuousLinearModel | None]:
-    """Inverse of :func:`model_to_json_dict`.
-
-    Returns (model, solver block, continuous realization); the last two are
-    None when the payload has no such block.
-    """
-    dictionary = (
-        LiftingDictionary.from_json_dict(d["dict"]) if d.get("dict") is not None else None
-    )
-    mdl = DiscreteLinearModel(
-        A=np.asarray(d["A"], dtype=float),
-        B=np.asarray(d["B"], dtype=float),
-        C=np.asarray(d["C"], dtype=float),
-        D=np.asarray(d["D"], dtype=float),
-        T=float(d["T"]),
-        dictionary=dictionary,
-    )
-    continuous = None
-    if "continuous" in d:
-        c = d["continuous"]
-        continuous = ContinuousLinearModel(
-            A=np.asarray(c["A"], dtype=float),
-            B=np.asarray(c["B"], dtype=float),
-            C=np.asarray(c["C"], dtype=float),
-            D=np.asarray(c["D"], dtype=float),
-        )
-    return mdl, d.get("solver"), continuous
 
 
 def write_json(path, payload: dict) -> None:
@@ -464,15 +403,52 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def save_model(path, mdl: DiscreteLinearModel, **blocks) -> None:
-    write_json(path, model_to_json_dict(mdl, **blocks))
+def save_model(
+    path,
+    mdl: DiscreteLinearModel,
+    solver: dict | None = None,
+    config: dict | None = None,
+    continuous: ContinuousLinearModel | None = None,
+) -> None:
+    """Write a discrete model as JSON (row-major arrays).
+
+    Optional blocks: ``solver`` diagnostics (including the certificate P),
+    the resolved run ``config`` and a ``continuous`` realization.
+    """
+    payload = {
+        "T": mdl.T,
+        **{k: getattr(mdl, k).tolist() for k in MATRICES},
+        "dict": mdl.dictionary.to_json_dict() if mdl.dictionary is not None else None,
+    }
+    if solver is not None:
+        payload["solver"] = solver
+    if config is not None:
+        payload["config"] = config
+    if continuous is not None:
+        payload["continuous"] = {k: getattr(continuous, k).tolist() for k in MATRICES}
+    write_json(path, payload)
 
 
 def load_model(
     path,
 ) -> tuple[DiscreteLinearModel, dict | None, ContinuousLinearModel | None]:
+    """Inverse of :func:`save_model`.
+
+    Returns (model, solver block, continuous realization); the last two are
+    None when the file has no such block.
+    """
     with open(path) as fh:
-        return model_from_json_dict(json.load(fh))
+        d = json.load(fh)
+    dictionary = (
+        LiftingDictionary.from_json_dict(d["dict"]) if d.get("dict") is not None else None
+    )
+    mdl = DiscreteLinearModel(
+        **{k: d[k] for k in MATRICES}, T=float(d["T"]), dictionary=dictionary
+    )
+    continuous = None
+    if "continuous" in d:
+        continuous = ContinuousLinearModel(**{k: d["continuous"][k] for k in MATRICES})
+    return mdl, d.get("solver"), continuous
 
 
 def bode_columns(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,16 @@
 """Shared numeric tolerances.
 
 Every tolerance used by the kernels, the solver and the test suite lives in
-one record so they cannot drift apart.  The environment variable
-``NIKOOPMAN_TOL_SCALE`` multiplies all of them, which lets CI loosen the
-whole suite uniformly on slow or exotic platforms.  It must be a positive
-finite number; anything else fails the import with a ``ValueError``.
+one record so they cannot drift apart.  The values are fixed.  The
+environment variable ``NIKOOPMAN_TOL_SCALE``, which once scaled them, is not
+supported: a non-empty setting of it fails the import with a ``ValueError``,
+so a stale setting is never silently ignored.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,10 @@ class Tolerances:
     dissipation_rel: float = 1e-3  # storage-inequality slack, relative
 
 
-def scaled_tolerances(scale: float) -> Tolerances:
-    """Return a :class:`Tolerances` record with every entry multiplied."""
-    if scale <= 0:
-        raise ValueError(f"tolerance scale must be positive, got {scale}")
-    return Tolerances(**{f.name: f.default * scale for f in fields(Tolerances)})
+if os.environ.get("NIKOOPMAN_TOL_SCALE"):
+    raise ValueError(
+        "NIKOOPMAN_TOL_SCALE is not supported: tolerances are fixed in nikoopman.Tolerances; "
+        "unset the variable"
+    )
 
-
-def _env_scale() -> float:
-    raw = os.environ.get("NIKOOPMAN_TOL_SCALE", "")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"NIKOOPMAN_TOL_SCALE must be a positive finite number, got {raw!r}")
-    return scale
-
-
-TOL = scaled_tolerances(_env_scale())
+TOL = Tolerances()

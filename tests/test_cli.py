@@ -57,7 +57,9 @@ def test_simulate_divergence_exit_code(tmp_path):
 
 
 def test_bad_args_exit_two(tmp_path):
-    assert run(["simulate", "--input", "nope", "--out", str(tmp_path / "x.csv")]) == 2
+    for kind in ("nope", "sine"):
+        assert run(["simulate", "--input", kind, "--out", str(tmp_path / "x.csv")]) == 2, kind
+    assert not (tmp_path / "x.csv").exists()
     assert run(["identify", "--traj", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "m.json")]) == 2
 
@@ -372,6 +374,35 @@ def test_validate_rejects_non_finite_sampling_time(linear_traj_file, tmp_path, c
         err = capsys.readouterr().err
         assert f"sampling time must be positive and finite, got {T}" in err, T
         assert not (tmp_path / "val").exists()
+
+
+PLANT_KEYS = {"m", "k1", "k3", "b0", "b1", "b2", "x0"}
+
+
+def test_config_block_key_sets(linear_traj_file, tmp_path):
+    # each output embeds every parsed option of its subcommand but the output path
+    traj = tmp_path / "traj.csv"
+    assert run(["simulate", "--steps", "20", "--out", str(traj)]) == 0
+    line = next(l for l in traj.read_text().splitlines() if l.startswith("# config="))
+    assert set(json.loads(line[len("# config="):])) == PLANT_KEYS | {
+        "input", "amplitude", "hold", "T", "steps", "seed"}
+
+    model = tmp_path / "un.json"
+    assert run(["identify", "--traj", str(linear_traj_file), "--nrbf", "0",
+                "--mode", "unconstrained", "--out", str(model)]) == 0
+    # the README's list for identify
+    assert set(json.loads(model.read_text())["config"]) == {
+        "traj", "nrbf", "center_seed", "alpha", "mode", "strict_b", "max_iters"}
+
+    lin = tmp_path / "lin.json"
+    assert run(["linearize", "--out", str(lin)]) == 0
+    assert set(json.loads(lin.read_text())["config"]) == PLANT_KEYS | {"T"}
+
+    out_dir = tmp_path / "val"
+    assert run(["validate", "--models", str(model), "--traj", str(linear_traj_file),
+                "--out-dir", str(out_dir)]) == 0
+    provenance = json.loads((out_dir / "report.json").read_text())["provenance"]
+    assert set(provenance) == {"models", "traj", "ppf", "grid", "steps"}
 
 
 def test_help_exits_cleanly():

@@ -74,8 +74,9 @@ def test_make_input_prbs_levels():
 
 
 def test_make_input_bad_kind():
-    with pytest.raises(ValueError):
-        InputSignal(kind="chirp")
+    for kind in ("chirp", "sine"):
+        with pytest.raises(ValueError, match="unknown input kind"):
+            InputSignal(kind=kind)
 
 
 # ---------------------------------------------------------------------------

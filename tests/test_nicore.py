@@ -310,12 +310,13 @@ def test_feedback_dc_product_scalar():
     assert fb.dc_gain_lambda_max == pytest.approx(0.5)
 
 
-def test_feedback_ill_posed_loop():
-    static = ContinuousLinearModel(
-        A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=[[1.0]]
-    )
-    with pytest.raises(nicore.IllPosedLoopError):
-        nicore.positive_feedback(static, static)
+def test_feedback_controller_feedthrough_rejected():
+    # the loop is closed around strictly proper controllers only
+    plant = damped_oscillator()
+    ctrl = nicore.ppf_realize(PpfController())
+    proper = ContinuousLinearModel(A=ctrl.A, B=ctrl.B, C=ctrl.C, D=[[0.1]])
+    with pytest.raises(ValueError, match="strictly proper"):
+        nicore.positive_feedback(plant, proper)
 
 
 def test_ni_ppf_stability_theorem():
