@@ -78,9 +78,14 @@ def step_response(c: ContinuousLinearModel, T: float, steps: int) -> StepRespons
     """Unit-step output of the bilinear-discretized model.
 
     The constant input terms B u and D u are formed once; each step then costs
-    two matrix-vector products.  An output entry beyond 1e6 in magnitude, or
-    not finite, flags divergence; ``outputs`` then ends at that step.  The
-    test runs once per ``STEP_BLOCK`` steps, on the block just computed.
+    one matrix-vector product for the state, and the outputs of a block of
+    ``STEP_BLOCK`` steps are formed from its states by one stacked product
+    (C x)' = x' C'.  With one output each entry is the dot product of the
+    step-by-step C x, bit for bit; with several outputs the stacked product
+    and a per-step C x add the same products in different orders, so they may
+    round apart.  An output entry beyond 1e6 in magnitude, or not finite,
+    flags divergence; ``outputs`` then ends at that step.  The test runs once
+    per block, on the block just computed.
     """
     d = nicore.to_discrete(c, T)
     u = np.ones((d.B.shape[1],))
@@ -94,10 +99,10 @@ def step_response(c: ContinuousLinearModel, T: float, steps: int) -> StepRespons
         for j0 in range(0, steps + 1, STEP_BLOCK):
             block = out[j0 : j0 + STEP_BLOCK]
             X[0] = X[-1]
-            for x, nxt, y in zip(X, X[1:], block):
-                np.matmul(d.C, x, out=y)
+            for x, nxt in zip(X[: len(block)], X[1:]):
                 np.matmul(d.A, x, out=nxt)
                 nxt += Bu
+            np.matmul(X[: len(block), None, :], d.C.T, out=block[:, None, :])
             block += Du
             bad = ~(np.abs(block).max(axis=1, initial=0.0) <= 1e6)  # also true for NaN
             if bad.any():

@@ -113,19 +113,22 @@ def write_csv(fh, header: Sequence[str], columns: Sequence) -> None:
 
     Every value is written as ``%.12e`` (the text of ``"{:.12e}".format``,
     ``nan``, ``inf`` and ``-0`` included); a column shorter than the first is
-    padded with empty cells.  The text is built column by column for
-    ``CSV_ROWS`` rows at a time, never as one whole-file string.
+    padded with empty cells.  The rows are cut where a short column ends, so
+    that between two cuts every row has one template; each block of at most
+    ``CSV_ROWS`` rows is formatted by one ``%`` of that template repeated,
+    never as one whole-file string.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     n_rows = len(columns[0])
     fh.write(",".join(header) + "\n")
-    for r0 in range(0, n_rows, CSV_ROWS):
-        n = min(CSV_ROWS, n_rows - r0)
-        cells = []
-        for col in columns:
-            text = list(map("%.12e".__mod__, col[r0 : r0 + n].tolist()))
-            cells.append(text + [""] * (n - len(text)))
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    cuts = sorted({0, n_rows, *(min(len(col), n_rows) for col in columns)})
+    for start, stop in zip(cuts, cuts[1:]):
+        present = [col for col in columns if len(col) >= stop]
+        row = ",".join("%.12e" if len(col) >= stop else "" for col in columns) + "\n"
+        for r0 in range(start, stop, CSV_ROWS):
+            r1 = min(r0 + CSV_ROWS, stop)
+            block = np.column_stack([col[r0:r1] for col in present])
+            fh.write((row * (r1 - r0)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

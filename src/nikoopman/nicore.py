@@ -250,7 +250,10 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
     per-call checks of the scipy wrappers; C X + D is formed for each block in
     one stacked product.  A frequency is on a pole when the smallest LU pivot
     is below :func:`matcore.pivot_floor` of ``||jw I - A||_inf``, the test of
-    :func:`matcore.csolve`.
+    :func:`matcore.csolve`; the LU diagonals are kept and tested once per
+    block, after its solves.  (One gesv call gives the same LU, but its solve
+    equals getrs, and so csolve, only at one BLAS thread: at OpenBLAS's
+    default thread count a separate getrs call differs in the last bits.)
 
     Raises:
         PoleOnGridError: some jw is an eigenvalue of A (the first such w in
@@ -266,6 +269,7 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
     B = c.B.astype(complex)
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
     X = np.empty((FREQ_CHUNK, n, B.shape[1]), dtype=complex)
+    diag = np.empty((FREQ_CHUNK, n), dtype=complex)  # each LU's pivots
     for k0 in range(0, omegas.size, FREQ_CHUNK):
         w = omegas[k0 : k0 + FREQ_CHUNK]
         M = (1j * w)[:, None, None] * eye - c.A
@@ -273,9 +277,11 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
         pivot_min = matcore.pivot_floor(np.linalg.norm(M, np.inf, axis=(1, 2)))
         for k in range(w.size):
             lu, piv, _ = getrf(M[k], overwrite_a=True)
-            if np.abs(lu.diagonal()).min() < pivot_min[k]:
-                raise PoleOnGridError(float(w[k]))
+            diag[k] = lu.diagonal()
             X[k], _ = getrs(lu, piv, B)
+        on_pole = np.abs(diag[: w.size]).min(axis=1) < pivot_min
+        if on_pole.any():
+            raise PoleOnGridError(float(w[on_pole.argmax()]))
         out[k0 : k0 + w.size] = c.C @ X[: w.size] + c.D
     return out
 

@@ -1,10 +1,13 @@
 """The batched and scalar fast paths equal their reference loops bit for bit.
 
-``freq_response`` solves stacked chunks of frequencies, ``step_response``
-forms its constant input terms once and tests divergence once per block of
-steps, ``simulate`` integrates the mass-spring-damper on Python floats, the
-linear simulations form their input terms in one product, and the CSV
-writers and parser work a column or a file at a time.  The eigen kernels call
+``freq_response`` solves chunks of frequencies by LAPACK getrf/getrs and
+tests them for poles once per chunk, ``step_response`` forms its
+constant input terms once, its outputs once per block of steps (bit for bit
+with one output, to rounding with several) and tests divergence once per
+block, ``simulate`` integrates the mass-spring-damper on Python floats, the
+linear simulations form their input terms in one product, ``write_csv``
+formats a block of rows with one template and the CSV parser works a file
+at a time.  The eigen kernels call
 LAPACK ``syevd`` directly, and the NI-program ADMM replaces its weighted
 X-update by the identity-weight scalar.  Each must reproduce the reference of
 ``oracles.py`` exactly, so the identification and validation artifacts do
@@ -100,12 +103,77 @@ def test_freq_response_near_pole_matches_per_frequency(model, offset):
     assert np.array_equal(got, want)
 
 
+def _poles_at_j1_and_j2():
+    # a block-diagonal model with poles at +/- j1 and +/- j2
+    R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    A = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), 2.0 * R]])
+    return ContinuousLinearModel(A=A, B=np.ones((4, 1)), C=np.ones((1, 4)), D=[[0.0]])
+
+
+def test_first_of_two_poles_in_one_chunk_is_raised():
+    c = _poles_at_j1_and_j2()
+    grid = np.linspace(0.15, 2.95, nicore.FREQ_CHUNK - 2)  # clear of both poles
+    for omegas, first in ((np.sort(np.append(grid, [1.0, 2.0])), 1.0),
+                          (np.sort(np.append(grid, [1.0, 2.0]))[::-1], 2.0)):
+        assert omegas.size == nicore.FREQ_CHUNK
+        assert _response_or_pole(nicore.freq_response, c, omegas) == first
+        assert _response_or_pole(freq_response_per_frequency, c, omegas) == first
+
+
+@pytest.mark.parametrize(
+    "at", [0, nicore.FREQ_CHUNK - 1, nicore.FREQ_CHUNK, nicore.FREQ_CHUNK + 5],
+    ids=["grid-start", "chunk-end", "second-chunk-start", "second-chunk"],
+)
+def test_pole_at_chunk_edges_matches_per_frequency(at):
+    c = _poles_at_j1_and_j2()
+    omegas = np.linspace(0.05, 0.9, 3 * nicore.FREQ_CHUNK)
+    omegas[at] = 1.0
+    assert _response_or_pole(nicore.freq_response, c, omegas) == 1.0
+    assert _response_or_pole(freq_response_per_frequency, c, omegas) == 1.0
+    # the same grid off the pole: the chunks before and after it match too
+    omegas[at] = 0.95
+    assert np.array_equal(nicore.freq_response(c, omegas), freq_response_per_frequency(c, omegas))
+
+
+def test_freq_response_exactly_singular_non_finite_model_is_not_finite():
+    # a NaN in A makes the pole threshold NaN, so jw I - A with an exactly zero
+    # pivot (w = 0 on the zero state) passes the pole test; its response is
+    # the non-finite getrf/getrs solve
+    c = ContinuousLinearModel(A=[[np.nan, 0.0], [0.0, 0.0]], B=np.ones((2, 1)),
+                              C=np.ones((1, 2)), D=[[0.0]])
+    assert not np.isfinite(nicore.freq_response(c, [0.0])).any()
+
+
 def test_step_response_matches_per_step(readme_model):
     closed = nicore.positive_feedback(readme_model, PPF).model
     resp = analysis.step_response(closed, T, 2000)
     outputs, diverged = step_response_per_step(closed, T, 2000)
     assert np.array_equal(resp.outputs, outputs)
     assert resp.diverged == diverged
+
+
+def _with_second_output(c, row):
+    return ContinuousLinearModel(A=c.A, B=c.B, C=np.vstack([c.C, row]),
+                                 D=np.zeros((2, c.B.shape[1])))
+
+
+def test_step_response_two_outputs_close_to_per_step(readme_model):
+    # with two outputs the stacked product and the per-step C x add the same
+    # products in different orders, so they agree to rounding only; a PPF
+    # gain of 5 around the origin linearization diverges
+    lin0 = analysis.linearize_msd(MsdParams(), [0.0, 0.0])
+    rng = np.random.default_rng(readme_model.order)
+    for plant, gain in ((readme_model, 0.5), (lin0, 5.0)):
+        ctrl = nicore.ppf_realize(PpfController(K=gain, zeta=0.7, omega=2.0))
+        closed = nicore.positive_feedback(plant, ctrl).model
+        c = _with_second_output(closed, rng.standard_normal((1, closed.order)))
+        resp = analysis.step_response(c, T, 20000)
+        outputs, diverged = step_response_per_step(c, T, 20000)
+        assert resp.outputs.shape[1] == 2
+        assert resp.diverged == diverged
+        assert resp.outputs.shape == outputs.shape
+        assert np.allclose(resp.outputs, outputs, rtol=1e-12)
+    assert diverged and outputs.shape[0] < 20001
 
 
 def test_step_response_divergence_cut_matches():
@@ -294,6 +362,32 @@ def test_write_csv_matches_per_value_format(short):
     fmt = "{:.12e}".format
     rows = [[fmt(v), fmt(part[k]) if k < short else ""] for k, v in enumerate(full)]
     assert buf.getvalue() == csv_text_per_value(["a", "b"], rows)
+
+
+def test_write_csv_ragged_columns_match_per_value_format():
+    # short columns ending inside a block, at its edges and twice inside one
+    # block, two of equal length and an empty one between full ones
+    rows = dynamics.CSV_ROWS
+    n = 3 * rows + 7
+    lengths = [n, 0, n, rows - 1, rows - 1, rows, rows + 1, 2 * rows + 10, 2 * rows + 20]
+    special = np.array([np.nan, np.inf, -np.inf, -0.0])
+    rng = np.random.default_rng(5)
+    columns = []
+    for k, length in enumerate(lengths):
+        col = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+        if length:  # at the start, inside and at the end
+            for at in (0, length // 2, length - 4):
+                col[at : at + 4] = np.roll(special, k)
+        columns.append(col)
+    header = [f"c{k}" for k in range(len(columns))]
+    buf = io.StringIO()
+    dynamics.write_csv(buf, header, columns)
+    fmt = "{:.12e}".format
+    want = [[fmt(col[r]) if r < len(col) else "" for col in columns] for r in range(n)]
+    got, want = buf.getvalue().split("\n"), csv_text_per_value(header, want).split("\n")
+    # the first row that differs, not pytest's diff of two 2 MB strings
+    assert next((k for k, row in enumerate(got) if k >= len(want) or row != want[k]), None) is None
+    assert len(got) == len(want)
 
 
 def test_validate_csvs_match_per_value(tmp_path):
