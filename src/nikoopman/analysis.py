@@ -16,7 +16,7 @@ discrete recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -71,44 +71,26 @@ class StepResponse:
     diverged: bool
 
 
-STEP_BLOCK = 256  # steps of step_response between two divergence tests
-
-
 def step_response(c: ContinuousLinearModel, T: float, steps: int) -> StepResponse:
     """Unit-step output of the bilinear-discretized model.
 
-    The constant input terms B u and D u are formed once; each step then costs
-    one matrix-vector product for the state, and the outputs of a block of
-    ``STEP_BLOCK`` steps are formed from its states by one stacked product
-    (C x)' = x' C'.  With one output each entry is the dot product of the
-    step-by-step C x, bit for bit; with several outputs the stacked product
-    and a per-step C x add the same products in different orders, so they may
-    round apart.  An output entry beyond 1e6 in magnitude, or not finite,
-    flags divergence; ``outputs`` then ends at that step.  The test runs once
-    per block, on the block just computed.
+    The states come from :func:`nicore.linear_recursion` under the constant
+    unit input, and the outputs C x + D u from one stacked product: with one
+    output each entry is the dot product of the step-by-step C x, bit for
+    bit, with several it equals C x to rounding.  An output entry beyond 1e6
+    in magnitude, or not finite, flags divergence; ``outputs`` then ends at
+    that step.
     """
     d = nicore.to_discrete(c, T)
-    u = np.ones((d.B.shape[1],))
-    Bu = d.B @ u
-    Du = d.D @ u
-    X = np.zeros((STEP_BLOCK + 1, d.order))  # a block's states and the next block's first
-    out = np.empty((steps + 1, d.C.shape[0]))
-    diverged = False
-    # steps after a divergence inside a block may overflow; they are cut off
+    u = np.ones(d.B.shape[1])
+    # the states after a divergence may overflow; they are cut off below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, steps + 1, STEP_BLOCK):
-            block = out[j0 : j0 + STEP_BLOCK]
-            X[0] = X[-1]
-            for x, nxt in zip(X[: len(block)], X[1:]):
-                np.matmul(d.A, x, out=nxt)
-                nxt += Bu
-            np.matmul(X[: len(block), None, :], d.C.T, out=block[:, None, :])
-            block += Du
-            bad = ~(np.abs(block).max(axis=1, initial=0.0) <= 1e6)  # also true for NaN
-            if bad.any():
-                diverged = True
-                out = out[: j0 + int(bad.argmax()) + 1]
-                break
+        X = nicore.linear_recursion(d.A, d.B, np.zeros(d.order), np.tile(u, (steps, 1)))
+        out = np.matmul(X[:, None, :], d.C.T)[:, 0, :] + d.D @ u
+    bad = ~(np.abs(out).max(axis=1, initial=0.0) <= 1e6)  # also true for NaN
+    diverged = bool(bad.any())
+    if diverged:
+        out = out[: int(bad.argmax()) + 1]
     return StepResponse(times=T * np.arange(out.shape[0]), outputs=out, diverged=diverged)
 
 
@@ -161,23 +143,6 @@ class CandidateModel:
             raise ValueError("provide exactly one of discrete/continuous")
 
 
-def _saved(value):
-    # JSON form of a report value: a dataclass becomes the dict of its saved
-    # fields, those neither None nor declared with repr=False (the bulk arrays
-    # and the loop kept for the plot CSVs); a plain dict is kept as it is
-    if is_dataclass(value):
-        return {
-            f.name: _saved(getattr(value, f.name))
-            for f in fields(value)
-            if f.repr and getattr(value, f.name) is not None
-        }
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_saved(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class ClosedLoopVerdict:
     dc_gain_lambda_max: float
@@ -207,10 +172,6 @@ class ModelReport:
 class ValidationReport:
     models: tuple[ModelReport, ...]
     provenance: dict
-
-    def to_json_dict(self) -> dict:
-        """The saved fields of the report and of every model (see ``_saved``)."""
-        return _saved(self)
 
 
 def closed_loop_verdict(

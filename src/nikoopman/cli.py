@@ -106,35 +106,17 @@ def cmd_identify(args) -> int:
     exit_code = EXIT_OK
     if args.mode == "unconstrained":
         result = identify.identify_unconstrained(traj, dictionary)
-        solver = {
-            "mode": "unconstrained",
-            "residual_j1": result.edmd.residual_j1,
-            "residual_j2": result.edmd.residual_j2,
-        }
+        solver = {"mode": "unconstrained"}
     else:
         result = identify.identify_ni(
             traj, dictionary, alpha=args.alpha, strict_b=args.strict_b, max_iters=args.max_iters
         )
         ni = result.ni
-        solver = {
-            "mode": "ni",
-            "alpha": args.alpha,
-            "iterations": ni.iterations,
-            "primal_res": ni.primal_res,
-            "dual_res": ni.dual_res,
-            "objective": ni.objective,
-            "lmi_min_eig": ni.lmi_min_eig,
-            "converged": ni.converged,
-            "P": ni.P.tolist(),
-            "residual_j1": result.edmd.residual_j1,
-            "residual_j2": result.edmd.residual_j2,
-        }
+        solver = {"mode": "ni", "alpha": args.alpha, **nicore.json_value(ni)}
         comp = ni.completion
-        if comp is not None:
-            solver["completion"] = {k: getattr(comp, k) for k in (
-                "b_fit_rel", "iterations", "gap", "converged", "bound_active")}
         if not ni.converged or (comp is not None and not comp.converged):
             exit_code = EXIT_SOLVER
+    solver.update(nicore.json_value(result.edmd))
     nicore.save_model(args.out, result.model, solver=solver, config=_config_json(args))
     flag = "" if exit_code == EXIT_OK else " (solver not converged, flagged)"
     print(f"wrote {args.out}{flag}")
@@ -162,8 +144,10 @@ def _suffixed(base: list[str], names: list[str]) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    # a malformed --grid or --ppf exits 2 before anything is written
+    # a malformed --grid, --ppf or --steps exits 2 before anything is written
     omegas = _parse_grid(args.grid)
+    if args.steps < 0:
+        raise argparse.ArgumentTypeError(f"--steps must be nonnegative, got {args.steps}")
     ctrl = None
     if args.ppf is not None:
         K, zeta, omega = _parse_floats(args.ppf, 3, "--ppf")
@@ -233,7 +217,7 @@ def cmd_validate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nicore.write_json(out_dir / "report.json", report.to_json_dict())
+    nicore.write_json(out_dir / "report.json", report)
     for name, header, columns in csvs:
         with open(out_dir / name, "w") as fh:
             dynamics.write_csv(fh, header, columns)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -72,12 +72,12 @@ class SingularPError(RuntimeError):
 class EdmdSolution:
     """Unconstrained snapshot least-squares fit."""
 
-    G_A: np.ndarray  # (N, N)
-    G_B: np.ndarray  # (N, m)
-    C_d: np.ndarray  # (l, N)
+    G_A: np.ndarray = field(repr=False)  # (N, N)
+    G_B: np.ndarray = field(repr=False)  # (N, m)
+    C_d: np.ndarray = field(repr=False)  # (l, N)
     residual_j1: float
     residual_j2: float
-    gram: np.ndarray  # (N + m, N + m), [Theta; Omega] [Theta; Omega]'
+    gram: np.ndarray = field(repr=False)  # (N + m, N + m), [Theta; Omega] [Theta; Omega]'
 
 
 def edmd_fit(dm: DataMatrices) -> EdmdSolution:
@@ -130,8 +130,9 @@ class NiProgramSolution:
     """Solver output: certificate variables, recovered dynamics, diagnostics."""
 
     P: np.ndarray
-    Q: np.ndarray
-    A_d: np.ndarray
+    # repr=False: not saved in the model JSON (see nicore.json_value)
+    Q: np.ndarray = field(repr=False)
+    A_d: np.ndarray = field(repr=False)
     iterations: int
     primal_res: float
     dual_res: float
@@ -326,8 +327,8 @@ class CertificateCompletion:
     of the bounded program, and a larger R could fit G_B better.
     """
 
-    P: np.ndarray
-    B_d: np.ndarray
+    P: np.ndarray = field(repr=False)
+    B_d: np.ndarray = field(repr=False)
     b_fit_rel: float
     iterations: int
     gap: float

@@ -72,12 +72,9 @@ class LiftingDictionary:
             blocks.append(_thin_plate(d).T)
         return np.vstack(blocks)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "centers": self.centers.tolist()}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LiftingDictionary":
-        """Inverse of :meth:`to_json_dict`.
+        """Dictionary from its JSON form ``{"n": ..., "centers": [...]}``.
 
         Raises:
             ValueError: the block holds a z-scoring ``mean`` or ``scale``;

@@ -9,7 +9,6 @@ explicit singularity detection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,16 +116,18 @@ def pivot_floor(a_norm):
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:  # empty system: solution is the (empty) rhs
         return b.copy()
-    with warnings.catch_warnings():
-        # our own pivot check below raises instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("linear system must be finite: a or b holds an inf or a NaN")
+    # one LAPACK gesv call: its solve does not depend on the BLAS thread count,
+    # where a separate getrs call at OpenBLAS's default count does
+    gesv = scipy.linalg.get_lapack_funcs("gesv", (a, b))
+    lu, _, x, _ = gesv(a, b)
     pivots = np.abs(np.diag(lu))
     if pivots.min() < pivot_floor(np.linalg.norm(a, np.inf)):
         raise SingularMatrixError(
             f"matrix singular to working precision (min pivot {pivots.min():.3e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), b)
+    return x
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,6 +135,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises:
         SingularMatrixError: an LU pivot below :func:`pivot_floor`.
+        ValueError: ``a`` or ``b`` is not finite.
     """
     a = _square(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)

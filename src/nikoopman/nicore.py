@@ -17,7 +17,8 @@ P > 0 with A P + P A' <= 0 and B = -A P C'.  This module provides
   K / (s^2 + 2 zeta w s + w^2) and the positive-feedback interconnection
   with a strictly proper controller, with its DC-gain coupling number
   lambda_max(G(0) Gbar(0)),
-* JSON serialization of models (:func:`save_model`, :func:`load_model`).
+* JSON serialization: the record-to-JSON rule of every file written
+  (:func:`json_value`) and models (:func:`save_model`, :func:`load_model`).
 
 Grid checks are necessary conditions evaluated on a finite grid; the LMI
 residual path is the certificate of record.  Reports carry both.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.linalg
@@ -108,7 +109,10 @@ MATRICES = ("A", "B", "C", "D")  # the realization arrays, in model and JSON ali
 
 def _check_dims(mdl) -> None:
     for name in MATRICES:
-        object.__setattr__(mdl, name, np.atleast_2d(np.asarray(getattr(mdl, name), dtype=float)))
+        a = np.atleast_2d(np.asarray(getattr(mdl, name), dtype=float))
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(mdl, name, a)
     n = mdl.A.shape[0]
     if mdl.A.shape != (n, n):
         raise ValueError(f"A must be square, got {mdl.A.shape}")
@@ -246,14 +250,12 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
     """G(jw) = C (jw I - A)^-1 B + D on a grid; shape (len(omegas), l, m).
 
     The systems (jw I - A) are built in blocks of at most ``FREQ_CHUNK``
-    frequencies and each is solved by LAPACK getrf/getrs directly, without the
-    per-call checks of the scipy wrappers; C X + D is formed for each block in
-    one stacked product.  A frequency is on a pole when the smallest LU pivot
-    is below :func:`matcore.pivot_floor` of ``||jw I - A||_inf``, the test of
-    :func:`matcore.csolve`; the LU diagonals are kept and tested once per
-    block, after its solves.  (One gesv call gives the same LU, but its solve
-    equals getrs, and so csolve, only at one BLAS thread: at OpenBLAS's
-    default thread count a separate getrs call differs in the last bits.)
+    frequencies and each is solved by one LAPACK gesv call, the call of
+    :func:`matcore.csolve`, without its per-call checks; C X + D is formed
+    for each block in one stacked product.  A frequency is on a pole when the
+    smallest LU pivot is below :func:`matcore.pivot_floor` of
+    ``||jw I - A||_inf``, the test of :func:`matcore.csolve`; the LU
+    diagonals are kept and tested once per block, after its solves.
 
     Raises:
         PoleOnGridError: some jw is an eigenvalue of A (the first such w in
@@ -267,7 +269,7 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
         return out
     eye = np.eye(n)
     B = c.B.astype(complex)
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
+    gesv = scipy.linalg.get_lapack_funcs("gesv", (B,))
     X = np.empty((FREQ_CHUNK, n, B.shape[1]), dtype=complex)
     diag = np.empty((FREQ_CHUNK, n), dtype=complex)  # each LU's pivots
     for k0 in range(0, omegas.size, FREQ_CHUNK):
@@ -276,9 +278,8 @@ def freq_response(c: ContinuousLinearModel, omegas: np.ndarray) -> np.ndarray:
         # csolve's pivot threshold, from ||jw I - A||_inf before factorizing
         pivot_min = matcore.pivot_floor(np.linalg.norm(M, np.inf, axis=(1, 2)))
         for k in range(w.size):
-            lu, piv, _ = getrf(M[k], overwrite_a=True)
+            lu, _, X[k], _ = gesv(M[k], B, overwrite_a=True)
             diag[k] = lu.diagonal()
-            X[k], _ = getrs(lu, piv, B)
         on_pole = np.abs(diag[: w.size]).min(axis=1) < pivot_min
         if on_pole.any():
             raise PoleOnGridError(float(w[on_pole.argmax()]))
@@ -402,10 +403,33 @@ def positive_feedback(
 # ---------------------------------------------------------------------------
 
 
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON indented by 2, keys sorted, with a final newline."""
+def json_value(value):
+    """JSON form of a value, the one rule of every JSON file the package writes.
+
+    A dataclass becomes the dict of its saved fields, those neither None nor
+    declared with ``repr=False`` (the bulk arrays kept in memory only); an
+    array becomes nested lists, a tuple a list, and the values of a dict are
+    converted in turn (a None value in a dict is kept).
+    """
+    if is_dataclass(value):
+        return {
+            f.name: json_value(getattr(value, f.name))
+            for f in fields(value)
+            if f.repr and getattr(value, f.name) is not None
+        }
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [json_value(v) for v in value]
+    return value
+
+
+def write_json(path, payload) -> None:
+    """Write :func:`json_value` of ``payload``, indented by 2, keys sorted, final newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(json_value(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -421,17 +445,13 @@ def save_model(
     Optional blocks: ``solver`` diagnostics (including the certificate P),
     the resolved run ``config`` and a ``continuous`` realization.
     """
-    payload = {
-        "T": mdl.T,
-        **{k: getattr(mdl, k).tolist() for k in MATRICES},
-        "dict": mdl.dictionary.to_json_dict() if mdl.dictionary is not None else None,
-    }
+    payload = {"T": mdl.T, **{k: getattr(mdl, k) for k in MATRICES}, "dict": mdl.dictionary}
     if solver is not None:
         payload["solver"] = solver
     if config is not None:
         payload["config"] = config
     if continuous is not None:
-        payload["continuous"] = {k: getattr(continuous, k).tolist() for k in MATRICES}
+        payload["continuous"] = continuous
     write_json(path, payload)
 
 

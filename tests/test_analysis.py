@@ -208,7 +208,7 @@ def test_compare_report_json_serializable():
         ctrl=PpfController(),
         provenance={"seed": 0, "ppf": None},
     )
-    payload = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))
+    payload = json.loads(json.dumps(nicore.json_value(report), sort_keys=True))
     # None fields and the repr=False ones (loop, response, predicted states)
     # are not saved; a None inside the provenance dict is
     assert payload["provenance"] == {"seed": 0, "ppf": None}

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,12 +60,23 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert code == 3
 
 
-def test_bad_args_exit_two(tmp_path):
+def test_bad_args_exit_two(linear_traj_file, tmp_path, capsys):
     for kind in ("nope", "sine"):
         assert run(["simulate", "--input", kind, "--out", str(tmp_path / "x.csv")]) == 2, kind
     assert not (tmp_path / "x.csv").exists()
     assert run(["identify", "--traj", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "m.json")]) == 2
+    # a negative step count, with or without a controller, before any output
+    lin0 = tmp_path / "lin0.json"
+    assert run(["linearize", "--out", str(lin0)]) == 0
+    validate = ["validate", "--models", str(lin0), "--traj", str(linear_traj_file),
+                "--out-dir", str(tmp_path / "val")]
+    for extra in (["--steps", "-1", "--ppf", "0.5,0.7,2"], ["--steps", "-5", "--ppf", "0.5,0.7,2"],
+                  ["--steps", "-1"]):
+        capsys.readouterr()
+        assert run(validate + extra) == 2, extra
+        assert "--steps must be nonnegative" in capsys.readouterr().err, extra
+        assert not (tmp_path / "val").exists(), extra
 
 
 @pytest.mark.parametrize(
@@ -374,6 +389,51 @@ def test_validate_rejects_non_finite_sampling_time(linear_traj_file, tmp_path, c
         err = capsys.readouterr().err
         assert f"sampling time must be positive and finite, got {T}" in err, T
         assert not (tmp_path / "val").exists()
+
+
+def test_validate_rejects_non_finite_model_matrix(linear_traj_file, tmp_path, capsys):
+    # a NaN in A fails the model load (exit 5) and names A; nothing is written
+    plain = tmp_path / "plain.json"
+    assert run(["identify", "--traj", str(linear_traj_file), "--nrbf", "2",
+                "--mode", "unconstrained", "--out", str(plain)]) == 0
+    payload = json.loads(plain.read_text())
+    payload["A"][0][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["validate", "--models", str(bad), "--traj", str(linear_traj_file),
+                "--out-dir", str(tmp_path / "val")]) == 5
+    assert "A must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "val").exists()
+
+
+def test_validate_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the same validate run at one and at two BLAS threads, in fresh processes
+    # (the count is read when numpy loads), writes the same bytes
+    train, val = tmp_path / "train.csv", tmp_path / "val.csv"
+    plain, lin0 = tmp_path / "plain.json", tmp_path / "lin0.json"
+    assert run(["simulate", "--out", str(train)]) == 0
+    assert run(["simulate", "--amplitude", "1.5", "--hold", "100", "--seed", "1000",
+                "--steps", "2500", "--out", str(val)]) == 0
+    assert run(["identify", "--traj", str(train), "--nrbf", "6", "--mode", "unconstrained",
+                "--out", str(plain)]) == 0
+    assert run(["linearize", "--out", str(lin0)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    texts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in [src, env.get("PYTHONPATH")] if p)
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "nikoopman.cli", "validate", "--models", f"{plain},{lin0}",
+             "--traj", str(val), "--ppf", "0.5,0.7,2", "--grid", "1e-2,1e2,200",
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        texts[threads] = {n: (out / n).read_bytes()
+                          for n in ("report.json", "bode.csv", "nyquist.csv")}
+    for name, text in texts["1"].items():
+        assert text == texts["2"][name], name
 
 
 PLANT_KEYS = {"m", "k1", "k3", "b0", "b1", "b2", "x0"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import lift_per_state
 
-from nikoopman import dynamics, lifting
+from nikoopman import dynamics, lifting, nicore
 from nikoopman.dynamics import InputSignal, MsdParams
 from nikoopman.lifting import LiftingDictionary
 
@@ -109,7 +109,7 @@ def test_json_rejects_z_scoring(key):
 
 def test_json_round_trip():
     d = lifting.sample_centers(2, 3, [[-1, 1], [0, 2]], seed=8)
-    again = LiftingDictionary.from_json_dict(d.to_json_dict())
+    again = LiftingDictionary.from_json_dict(nicore.json_value(d))
     assert again.n == d.n
     assert np.array_equal(again.centers, d.centers)
 

@@ -188,6 +188,15 @@ def test_solve_singular_raises():
         matcore.solve(a, np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_non_finite(bad):
+    for f in (matcore.solve, matcore.csolve):
+        with pytest.raises(ValueError, match="must be finite"):
+            f([[1.0, 0.0], [0.0, bad]], np.ones(2))
+        with pytest.raises(ValueError, match="must be finite"):
+            f(np.eye(2), [1.0, bad])
+
+
 def test_solve_rejects_non_square():
     with pytest.raises(matcore.NonSquareError):
         matcore.solve(np.ones((2, 3)), np.ones(2))

@@ -35,6 +35,16 @@ def random_stable_discrete(rng, n, T=0.1, radius=0.8):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", nicore.MATRICES)
+def test_models_reject_non_finite_matrices(name, bad):
+    mats = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]], name: [[bad]]}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DiscreteLinearModel(**mats, T=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ContinuousLinearModel(**mats)
+
+
 def test_to_continuous_scalar_zero():
     d = DiscreteLinearModel(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], T=1.0)
     c = nicore.to_continuous(d)
