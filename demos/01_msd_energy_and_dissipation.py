@@ -9,7 +9,14 @@ systems.  We verify the discretized inequality along random trajectories.
 
 import numpy as np
 
-from nikoopman import InputSignal, MsdParams, check_dissipation, simulate, storage_value
+from nikoopman import (
+    InputSignal,
+    MsdParams,
+    check_dissipation,
+    make_input,
+    simulate,
+    storage_value,
+)
 
 params = MsdParams()  # m=1, spring z + z^3, damping z^2 + zd^2
 print("plant:", params)
@@ -17,9 +24,8 @@ print("plant:", params)
 traj = simulate(
     params,
     x0=[0.0, 0.0],
-    inputs=InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
+    inputs=make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
     T=0.01,
-    L=1000,
 )
 print(f"simulated {traj.L} samples at T={traj.T}s; "
       f"|x1| <= {np.abs(traj.states[:, 0]).max():.3f}")
@@ -34,7 +40,7 @@ print(f"dissipation check: {len(report.violations)} violations "
 assert report.ok
 
 # a free decay only loses energy
-decay = simulate(params, [1.0, 0.0], InputSignal(kind="zero"), T=0.01, L=800)
+decay = simulate(params, [1.0, 0.0], make_input(InputSignal(kind="zero"), 800), T=0.01)
 e = np.array([storage_value(params, x) for x in decay.states])
 print(f"free decay: energy falls {e[0]:.3f} -> {e[-1]:.6f}, "
       f"monotone: {bool(np.all(np.diff(e) <= 1e-12))}")

@@ -14,14 +14,15 @@ from nikoopman import (
     build_matrices,
     identify_unconstrained,
     make_dictionary,
+    make_input,
     simulate,
     simulate_lifted,
 )
 
 params = MsdParams()
 train = simulate(params, [0.0, 0.0],
-                 InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
-                 T=0.01, L=1000)
+                 make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
+                 T=0.01)
 
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
 print(f"lifted dimension N = {dictionary.size} "
@@ -37,8 +38,8 @@ print(f"one-step residual J1 = {result.edmd.residual_j1:.3e}, "
 
 # rollout on unseen forcing
 test = simulate(params, [0.0, 0.0],
-                InputSignal(kind="random", amplitude=1.0, hold=40, seed=123),
-                T=0.01, L=1000)
+                make_input(InputSignal(kind="random", amplitude=1.0, hold=40, seed=123), 1000),
+                T=0.01)
 sim = simulate_lifted(result.model, test.states[0], test.inputs)
 mse = np.mean((sim.states - test.states) ** 2, axis=0)
 print(f"rollout MSE per state on held-out input: {np.array2string(mse, precision=5)}")

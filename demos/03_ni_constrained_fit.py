@@ -17,14 +17,15 @@ from nikoopman import (
     identify_ni,
     identify_unconstrained,
     make_dictionary,
+    make_input,
     simulate,
     simulate_lifted,
 )
 
 params = MsdParams()
 train = simulate(params, [0.0, 0.0],
-                 InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
-                 T=0.01, L=1000)
+                 make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
+                 T=0.01)
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
 
 plain = identify_unconstrained(train, dictionary)
@@ -46,8 +47,8 @@ print(f"certificate: lambda_max(A P A' - P) = {res.lyap_max_eig:+.2e}, "
       f"certified = {res.certified}")
 
 test = simulate(params, [0.0, 0.0],
-                InputSignal(kind="random", amplitude=1.0, hold=40, seed=123),
-                T=0.01, L=1000)
+                make_input(InputSignal(kind="random", amplitude=1.0, hold=40, seed=123), 1000),
+                T=0.01)
 for name, model in [("constrained", result.model), ("unconstrained", plain.model)]:
     sim = simulate_lifted(model, test.states[0], test.inputs)
     mse = np.mean((sim.states - test.states) ** 2, axis=0)

@@ -13,6 +13,7 @@ from nikoopman import (
     identify_ni,
     identify_unconstrained,
     make_dictionary,
+    make_input,
     ni_frequency_check,
     simulate,
     to_continuous,
@@ -22,8 +23,8 @@ from nikoopman.nicore import bode_columns, default_frequency_grid, freq_response
 
 params = MsdParams()
 train = simulate(params, [0.0, 0.0],
-                 InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
-                 T=0.01, L=1000)
+                 make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
+                 T=0.01)
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
 
 constrained = identify_ni(train, dictionary, alpha=1e-5, strict_b=True, max_iters=200000)

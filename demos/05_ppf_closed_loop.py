@@ -16,6 +16,7 @@ from nikoopman import (
     identify_ni,
     identify_unconstrained,
     make_dictionary,
+    make_input,
     positive_feedback,
     simulate,
     step_response,
@@ -27,8 +28,8 @@ from nikoopman.nicore import dc_gain, ni_frequency_check, ppf_realize
 T = 0.01
 params = MsdParams()
 train = simulate(params, [0.0, 0.0],
-                 InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
-                 T=T, L=1000)
+                 make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
+                 T=T)
 dictionary = make_dictionary(train, n_rbf=6, seed=0)
 constrained = identify_ni(train, dictionary, alpha=1e-5, strict_b=True, max_iters=200000)
 plain = identify_unconstrained(train, dictionary)

@@ -107,14 +107,11 @@ def zoh_discretize(c: ContinuousLinearModel, T: float) -> tuple[np.ndarray, np.n
 def simulate_continuous(
     c: ContinuousLinearModel, x0, inputs: np.ndarray, T: float
 ) -> np.ndarray:
-    """States of the continuous model under held inputs, exactly discretized.
+    """States of the continuous model under the rows of an (L, m) input table, each held.
 
-    The zero-order-hold pair (Ad, Bd) is iterated by
+    The exact zero-order-hold pair (Ad, Bd) is iterated by
     :func:`nicore.linear_recursion`.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != c.B.shape[1]:
-        inputs = inputs.reshape(-1, c.B.shape[1])
     Ad, Bd = zoh_discretize(c, T)
     return nicore.linear_recursion(Ad, Bd, np.asarray(x0, dtype=float), inputs)
 

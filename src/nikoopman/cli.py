@@ -85,8 +85,9 @@ def cmd_simulate(args) -> int:
     spec = dynamics.InputSignal(
         kind=args.input, amplitude=args.amplitude, hold=args.hold, seed=args.seed
     )
+    u = dynamics.make_input(spec, args.steps)
     try:
-        traj = dynamics.simulate(params, x0, spec, T=args.T, L=args.steps)
+        traj = dynamics.simulate(params, x0, u, T=args.T)
     except dynamics.NonFiniteTrajectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION

@@ -306,20 +306,20 @@ def _msd_rk4(p: MsdParams, x0: np.ndarray, u_table: np.ndarray, substeps: int,
 
 
 def simulate(
-    params: MsdParams,
-    x0: Sequence[float],
-    inputs: InputSignal | np.ndarray,
-    T: float,
-    L: int | None = None,
+    params: MsdParams, x0: Sequence[float], inputs: np.ndarray, T: float
 ) -> TrajectoryData:
-    """Integrate the mass-spring-damper over L samples of period T with held inputs.
+    """Integrate the mass-spring-damper over the rows of an (L, 1) input table.
 
-    Classical RK4 with internal step <= min(T, MAX_STEP); the input is held
-    constant over each sampling interval and the output is the position x1.
+    Row j of ``inputs`` is held constant over the sampling interval
+    j -> j+1 of period T (sample one with :func:`make_input`, e.g.
+    ``simulate(params, [0, 0], make_input(InputSignal(seed=0), 1000), T=0.01)``).
+    Classical RK4 with internal step <= min(T, MAX_STEP); the output is the
+    position x1.
 
     Raises:
-        ValueError: T not positive and finite, a state that is not of length
-            2, or an input table whose row count is not L.
+        ValueError: T not positive and finite, an initial state ``x0`` that
+            is not of length 2 or not finite, or inputs that are not an
+            (L, 1) table.
         NonFiniteTrajectoryError: the state left the finite range; the
             exception carries the offending step index.
     """
@@ -328,19 +328,11 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2,):
         raise ValueError(f"the mass-spring-damper state has 2 entries, got {x0.shape}")
-    if isinstance(inputs, InputSignal):
-        if L is None:
-            raise ValueError("L is required when inputs is an InputSignal")
-        u_table = make_input(inputs, L)
-    else:
-        u_table = np.asarray(inputs, dtype=float)
-        if u_table.ndim == 1:
-            u_table = u_table.reshape(-1, 1)
-        if L is None:
-            L = u_table.shape[0]
-    if u_table.shape[0] != L:
-        raise ValueError(f"input table has {u_table.shape[0]} rows, expected L={L}")
-
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"the initial state x0 must be finite, got {x0.tolist()}")
+    u_table = np.asarray(inputs, dtype=float)
+    if u_table.ndim != 2 or u_table.shape[1] != 1:
+        raise ValueError(f"inputs must be an (L, 1) table, got shape {u_table.shape}")
     substeps = max(1, int(np.ceil(T / min(T, MAX_STEP) - 1e-12)))
     states = _msd_rk4(params, x0, u_table, substeps, T / substeps)
     return TrajectoryData(T=T, states=states, inputs=u_table, outputs=states[:, :1].copy())
@@ -358,7 +350,6 @@ class DissipationReport:
 
     violations: tuple[tuple[int, float], ...]  # (step, gap) with gap > tol
     tol: float
-    max_storage: float
 
     @property
     def ok(self) -> bool:
@@ -373,11 +364,10 @@ def check_dissipation(traj: TrajectoryData, params: MsdParams) -> DissipationRep
     Violations are collected, not raised.
     """
     storage = np.array([storage_value(params, x) for x in traj.states])
-    max_storage = float(np.max(np.abs(storage)))
-    tol = TOL.dissipation_rel * max_storage
+    tol = TOL.dissipation_rel * float(np.max(np.abs(storage)))
     supply = np.sum(traj.inputs * np.diff(traj.outputs, axis=0), axis=1)
     gaps = np.diff(storage) - supply
     violations = tuple(
         (int(j), float(gaps[j])) for j in np.nonzero(gaps > tol)[0]
     )
-    return DissipationReport(violations=violations, tol=float(tol), max_storage=max_storage)
+    return DissipationReport(violations=violations, tol=float(tol))

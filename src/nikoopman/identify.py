@@ -198,7 +198,7 @@ def solve_ni(
         # C-ordered, as the matrix products these replace had them
         f = 1.0 / (1.0 + rho)
         H = np.multiply(rho * G_A.T, f, order="C") @ G_A
-        eig = matcore.sym_eig(0.5 * (H + H.T))
+        eig = matcore.sym_eig(H)
         denom = eig.eigenvalues[:, None] + eig.eigenvalues[None, :] + 2.0 * rho
         return f, np.multiply(G_A.T, f, order="C"), eig.eigenvectors, denom
 
@@ -499,22 +499,18 @@ def identify_ni(
 class LiftedSimulation:
     """Linear recursion of a lifted model along an input sequence."""
 
-    lifted: np.ndarray  # (L+1, N)
     states: np.ndarray  # (L+1, n), native coordinates
     outputs: np.ndarray  # (L+1, l)
 
 
 def simulate_lifted(mdl: DiscreteLinearModel, x0, inputs: np.ndarray) -> LiftedSimulation:
-    """Iterate psi+ = A psi + B u from psi0 = lift(x0); y = C psi.
+    """Iterate psi+ = A psi + B u from psi0 = lift(x0) along the rows of an (L, m) table; y = C psi.
 
     Requires the model to carry its lifting dictionary.  The native-state
     track is the leading block of the lifted state.
     """
     if mdl.dictionary is None:
         raise ValueError("model carries no lifting dictionary")
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs.reshape(-1, 1)
     psi = nicore.linear_recursion(mdl.A, mdl.B, mdl.dictionary.lift(x0), inputs)
     outputs = psi @ mdl.C.T
-    return LiftedSimulation(lifted=psi, states=psi[:, : mdl.dictionary.n], outputs=outputs)
+    return LiftedSimulation(states=psi[:, : mdl.dictionary.n], outputs=outputs)

@@ -370,7 +370,8 @@ def positive_feedback(
 
     Returns the r -> y realization together with
     lambda_max(G(0) Gbar(0)), the coupling number whose being < 1 is the
-    NI/SNI internal-stability condition.
+    NI/SNI internal-stability condition: the largest real part of the
+    eigenvalues of the DC product, at every size (for SISO the product).
 
     Raises:
         ValueError: controller I/O dimensions that do not mirror the plant,
@@ -389,11 +390,7 @@ def positive_feedback(
     )
     B_cl = np.vstack([plant.B, ctrl.B @ plant.D])
     C_cl = np.hstack([plant.C, plant.D @ ctrl.C])
-    g0 = dc_gain(plant) @ dc_gain(ctrl)
-    if g0.shape == (1, 1):
-        lam = float(g0[0, 0])
-    else:
-        lam = float(np.max(np.linalg.eigvals(g0).real))
+    lam = float(np.max(np.linalg.eigvals(dc_gain(plant) @ dc_gain(ctrl)).real))
     closed = ContinuousLinearModel(A=A_cl, B=B_cl, C=C_cl, D=plant.D.copy())
     return PositiveFeedback(model=closed, dc_gain_lambda_max=lam)
 

@@ -37,13 +37,17 @@ def scenario():
     params = MsdParams()
     train = dynamics.simulate(
         params, [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=25, seed=DATA_SEED),
-        T=T_SAMPLE, L=L_STEPS,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.0, hold=25, seed=DATA_SEED), L_STEPS
+        ),
+        T=T_SAMPLE,
     )
     val = dynamics.simulate(
         params, [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.8, hold=100, seed=VAL_SEED),
-        T=T_SAMPLE, L=L_STEPS,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.8, hold=100, seed=VAL_SEED), L_STEPS
+        ),
+        T=T_SAMPLE,
     )
     dictionary = lifting.make_dictionary(train, n_rbf=6, seed=CENTER_SEED)
     t0 = time.time()
@@ -211,8 +215,10 @@ def test_criterion_5_oracle_suites():
     for seed in range(20):
         traj = dynamics.simulate(
             params, [0.0, 0.0],
-            InputSignal(kind="random", amplitude=1.0, hold=20, seed=seed),
-            T=T_SAMPLE, L=500,
+            dynamics.make_input(
+                InputSignal(kind="random", amplitude=1.0, hold=20, seed=seed), 500
+            ),
+            T=T_SAMPLE,
         )
         assert dynamics.check_dissipation(traj, params).ok
 
@@ -227,7 +233,9 @@ def test_criterion_6_exact_recovery():
     params = MsdParams(m=1.0, k1=1.0, k3=0.0, b0=1.0, b1=0.0, b2=0.0)
     traj = dynamics.simulate(
         params, [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=10, seed=2), T=T_SAMPLE, L=400,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.0, hold=10, seed=2), 400
+        ), T=T_SAMPLE,
     )
     dictionary = lifting.LiftingDictionary(n=2, centers=np.zeros((0, 2)))
     res = identify.identify_ni(

@@ -143,7 +143,9 @@ def linear_traj(seed=0, L=300):
     p = MsdParams(k3=0.0, b0=1.0, b1=0.0, b2=0.0)
     return p, dynamics.simulate(
         p, [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=10, seed=seed), T=0.01, L=L,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.0, hold=10, seed=seed), L
+        ), T=0.01,
     )
 
 

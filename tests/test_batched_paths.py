@@ -45,8 +45,9 @@ PPF = nicore.ppf_realize(PpfController(K=0.5, zeta=0.7, omega=2.0))
 @pytest.fixture(scope="module")
 def readme_train():
     return dynamics.simulate(
-        MsdParams(), [0.0, 0.0], InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
-        T=T, L=1000,
+        MsdParams(), [0.0, 0.0],
+        dynamics.make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
+        T=T,
     )
 
 
@@ -260,16 +261,20 @@ def test_simulate_nonfinite_at_same_step(params, x0, Ts):
 def readme_val():
     return dynamics.simulate(
         MsdParams(), [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.5, hold=100, seed=1000), T=T, L=2500,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.5, hold=100, seed=1000), 2500
+        ), T=T,
     )
 
 
 def test_simulate_lifted_one_input_matches_per_step(readme_train, readme_val):
     dictionary = lifting.make_dictionary(readme_train, n_rbf=6, seed=0)
     model = identify.identify_unconstrained(readme_train, dictionary).model
-    sim = identify.simulate_lifted(model, readme_val.states[0], readme_val.inputs)
-    psi = simulate_lifted_per_step(model, readme_val.states[0], readme_val.inputs)
-    assert np.array_equal(sim.lifted, psi)
+    x0, u = readme_val.states[0], readme_val.inputs
+    sim = identify.simulate_lifted(model, x0, u)
+    psi = simulate_lifted_per_step(model, x0, u)
+    assert np.array_equal(nicore.linear_recursion(model.A, model.B, dictionary.lift(x0), u), psi)
+    assert np.array_equal(sim.states, psi[:, :2])
     assert np.array_equal(sim.outputs, psi @ model.C.T)
 
 
@@ -291,8 +296,10 @@ def test_simulate_lifted_two_inputs_close_to_per_step(readme_train):
     A, B, u = _stable_two_input(8)
     model = DiscreteLinearModel(A=A, B=B, C=np.eye(2, 8), D=np.zeros((2, 2)), T=T,
                                 dictionary=dictionary)
+    psi = nicore.linear_recursion(A, B, dictionary.lift([0.3, -0.2]), u)
+    _assert_close_to_scale(psi, simulate_lifted_per_step(model, [0.3, -0.2], u))
     sim = identify.simulate_lifted(model, [0.3, -0.2], u)
-    _assert_close_to_scale(sim.lifted, simulate_lifted_per_step(model, [0.3, -0.2], u))
+    assert np.array_equal(sim.states, psi[:, :2])
 
 
 def test_simulate_continuous_matches_per_step(readme_val):

@@ -77,6 +77,15 @@ def test_bad_args_exit_two(linear_traj_file, tmp_path, capsys):
         assert run(validate + extra) == 2, extra
         assert "--steps must be nonnegative" in capsys.readouterr().err, extra
         assert not (tmp_path / "val").exists(), extra
+    # a non-finite initial state is a usage error (2); a finite one that
+    # diverges is a simulation error (3); neither writes a trajectory
+    for x0, code in (("nan,0", 2), ("inf,0", 2), ("0,-inf", 2), ("1e300,0", 3)):
+        capsys.readouterr()
+        assert run(["simulate", f"--x0={x0}", "--steps", "20",
+                    "--out", str(tmp_path / "x.csv")]) == code, x0
+        err = capsys.readouterr().err
+        assert ("x0 must be finite" if code == 2 else "diverged") in err, x0
+        assert not (tmp_path / "x.csv").exists(), x0
 
 
 @pytest.mark.parametrize(

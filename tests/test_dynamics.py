@@ -85,7 +85,8 @@ def test_make_input_bad_kind():
 
 
 def test_simulate_equilibrium_stays_zero():
-    traj = dynamics.simulate(MsdParams(), [0.0, 0.0], InputSignal(kind="zero"), T=0.01, L=50)
+    u = dynamics.make_input(InputSignal(kind="zero"), 50)
+    traj = dynamics.simulate(MsdParams(), [0.0, 0.0], u, T=0.01)
     assert np.all(traj.states == 0.0)
     assert np.all(traj.outputs == 0.0)
 
@@ -109,9 +110,8 @@ def test_simulate_benchmark_parameters_bounded():
     traj = dynamics.simulate(
         MsdParams(),
         [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=25, seed=0),
+        dynamics.make_input(InputSignal(kind="random", amplitude=1.0, hold=25, seed=0), 1000),
         T=0.01,
-        L=1000,
     )
     assert traj.L == 1000
     assert np.all(np.isfinite(traj.states))
@@ -119,10 +119,25 @@ def test_simulate_benchmark_parameters_bounded():
 
 def test_simulate_determinism():
     spec = InputSignal(kind="random", amplitude=1.0, hold=10, seed=7)
-    a = dynamics.simulate(MsdParams(), [0.1, 0.0], spec, T=0.01, L=200)
-    b = dynamics.simulate(MsdParams(), [0.1, 0.0], spec, T=0.01, L=200)
+    a = dynamics.simulate(MsdParams(), [0.1, 0.0], dynamics.make_input(spec, 200), T=0.01)
+    b = dynamics.simulate(MsdParams(), [0.1, 0.0], dynamics.make_input(spec, 200), T=0.01)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.inputs, b.inputs)
+
+
+@pytest.mark.parametrize(
+    "x0, inputs, match",
+    [
+        ([np.nan, 0.0], np.zeros((5, 1)), "x0 must be finite"),
+        ([0.0, -np.inf], np.zeros((5, 1)), "x0 must be finite"),
+        ([0.0, 0.0], np.zeros(5), r"\(L, 1\) table"),
+        ([0.0, 0.0], np.zeros((5, 2)), r"\(L, 1\) table"),
+    ],
+    ids=["x0-nan", "x0-inf", "inputs-1d", "inputs-two-columns"],
+)
+def test_simulate_rejects_bad_x0_or_input_table(x0, inputs, match):
+    with pytest.raises(ValueError, match=match):
+        dynamics.simulate(MsdParams(), x0, inputs, T=0.01)
 
 
 def test_simulate_rk4_order():
@@ -149,7 +164,8 @@ def test_simulate_rk4_order():
 
 
 def test_dissipation_zero_input_decay():
-    traj = dynamics.simulate(MsdParams(), [1.0, 0.0], InputSignal(kind="zero"), T=0.01, L=500)
+    u = dynamics.make_input(InputSignal(kind="zero"), 500)
+    traj = dynamics.simulate(MsdParams(), [1.0, 0.0], u, T=0.01)
     report = dynamics.check_dissipation(traj, MsdParams())
     assert report.ok
 
@@ -160,9 +176,8 @@ def test_dissipation_random_seeds(seed):
     traj = dynamics.simulate(
         params,
         [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=20, seed=seed),
+        dynamics.make_input(InputSignal(kind="random", amplitude=1.0, hold=20, seed=seed), 500),
         T=0.01,
-        L=500,
     )
     assert dynamics.check_dissipation(traj, params).ok
 
@@ -190,9 +205,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = dynamics.simulate(
         MsdParams(),
         [0.2, -0.1],
-        InputSignal(kind="random", amplitude=0.5, hold=5, seed=11),
+        dynamics.make_input(InputSignal(kind="random", amplitude=0.5, hold=5, seed=11), 40),
         T=0.02,
-        L=40,
     )
     traj.save_csv(tmp_path / "traj.csv", extra_comments=["config={}"])
     again = TrajectoryData.load_csv(tmp_path / "traj.csv")

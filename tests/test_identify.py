@@ -302,7 +302,9 @@ def test_identify_linear_ground_truth():
     params = linear_msd_params()
     traj = dynamics.simulate(
         params, [0.0, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=10, seed=2), T=0.01, L=400,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=1.0, hold=10, seed=2), 400
+        ), T=0.01,
     )
     res = identify.identify_ni(
         traj, identity_dict(), alpha=1e-5, strict_b=True, max_iters=100000
@@ -356,7 +358,9 @@ def test_simulate_lifted_matches_continuous_simulation():
     params = linear_msd_params()
     traj = dynamics.simulate(
         params, [0.1, 0.0],
-        InputSignal(kind="random", amplitude=0.5, hold=10, seed=4), T=0.01, L=200,
+        dynamics.make_input(
+            InputSignal(kind="random", amplitude=0.5, hold=10, seed=4), 200
+        ), T=0.01,
     )
     res = identify.identify_unconstrained(traj, identity_dict())
     sim = identify.simulate_lifted(res.model, traj.states[0], traj.inputs)

@@ -123,9 +123,8 @@ def example_traj(seed=0, L=30):
     return dynamics.simulate(
         MsdParams(),
         [0.1, 0.0],
-        InputSignal(kind="random", amplitude=1.0, hold=5, seed=seed),
+        dynamics.make_input(InputSignal(kind="random", amplitude=1.0, hold=5, seed=seed), L),
         T=0.01,
-        L=L,
     )
 
 

@@ -320,6 +320,46 @@ def test_feedback_dc_product_scalar():
     assert fb.dc_gain_lambda_max == pytest.approx(0.5)
 
 
+def _two_by_two_loop():
+    # a stable 3-state plant with feedthrough and a strictly proper 4-state
+    # controller, both 2-input 2-output
+    rng = np.random.default_rng(5)
+    plant = ContinuousLinearModel(
+        A=-2.0 * np.eye(3) + 0.5 * rng.standard_normal((3, 3)),
+        B=rng.standard_normal((3, 2)), C=rng.standard_normal((2, 3)),
+        D=0.3 * rng.standard_normal((2, 2)),
+    )
+    ctrl = ContinuousLinearModel(
+        A=-1.5 * np.eye(4) + 0.4 * rng.standard_normal((4, 4)),
+        B=rng.standard_normal((4, 2)), C=rng.standard_normal((2, 4)), D=np.zeros((2, 2)),
+    )
+    return plant, ctrl
+
+
+def test_feedback_dc_coupling_mimo_oracle():
+    # lambda_max(G(0) Gbar(0)), the largest real part of the eigenvalues of
+    # the DC product, with G(0) = D - C A^-1 B formed by np.linalg.solve
+    plant, ctrl = _two_by_two_loop()
+    g0 = plant.D - plant.C @ np.linalg.solve(plant.A, plant.B)
+    gb0 = -ctrl.C @ np.linalg.solve(ctrl.A, ctrl.B)
+    eigs = np.linalg.eigvals(g0 @ gb0)
+    lam = nicore.positive_feedback(plant, ctrl).dc_gain_lambda_max
+    assert lam == pytest.approx(np.max(eigs.real), rel=1e-12)
+    # the coupling is not one of the product's diagonal entries
+    assert min(abs(lam - d) for d in np.diag(g0 @ gb0)) > 1e-3
+
+
+def test_feedback_transfer_function_oracle_mimo():
+    # the closed 2x2 loop satisfies G_cl = (I - G Gbar)^-1 G pointwise
+    plant, ctrl = _two_by_two_loop()
+    fb = nicore.positive_feedback(plant, ctrl)
+    omegas = np.array([0.05, 0.3, 1.0, 4.0, 20.0])
+    G = nicore.freq_response(plant, omegas)
+    Gb = nicore.freq_response(ctrl, omegas)
+    want = np.linalg.solve(np.eye(2) - G @ Gb, G)
+    assert np.allclose(nicore.freq_response(fb.model, omegas), want, rtol=1e-9, atol=1e-12)
+
+
 def test_feedback_controller_feedthrough_rejected():
     # the loop is closed around strictly proper controllers only
     plant = damped_oscillator()
