@@ -202,7 +202,7 @@ def evaluate_model(
     entry: CandidateModel,
     reference: TrajectoryData,
     ctrl: PpfController | None,
-    omegas: np.ndarray | None = None,
+    omegas: np.ndarray,
 ) -> ModelReport:
     """Predictions, NI evidence and closed-loop verdict for one candidate.
 
@@ -223,8 +223,6 @@ def evaluate_model(
     cont = entry.continuous
     if cont is None:
         cont = nicore.to_continuous(entry.discrete)
-    if omegas is None:
-        omegas = nicore.default_frequency_grid()
     omegas = np.asarray(omegas, dtype=float)
     response = nicore.freq_response(cont, omegas[omegas > 0])
     phase = nicore.ni_frequency_check(cont, omegas, response=response)
@@ -249,8 +247,8 @@ def evaluate_model(
 def compare_models(
     reference: TrajectoryData,
     models: list[CandidateModel],
+    omegas: np.ndarray,
     ctrl: PpfController | None = None,
-    omegas: np.ndarray | None = None,
     provenance: dict | None = None,
 ) -> ValidationReport:
     """Evaluate every candidate against a reference trajectory.

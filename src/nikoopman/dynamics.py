@@ -203,6 +203,11 @@ class TrajectoryData:
     def from_csv(cls, text: str) -> "TrajectoryData":
         """Inverse of :meth:`save_csv`; columns are counted by their x, u and y prefixes.
 
+        One pass: each row's cells are counted as it is read and converted
+        when the next row arrives, because only the end of the text shows
+        which row is the final one, whose empty input cells are not read.
+        An error names the first malformed line.
+
         Raises:
             ValueError: no ``# T=`` line, header or rows; an unrecognized
                 header; a row whose cell count differs from the header's or
@@ -210,7 +215,8 @@ class TrajectoryData:
         """
         T = None
         header = None
-        numbers, rows = [], []
+        values = []
+        cells = None  # the row read last, converted once a later row shows it is not final
         for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
@@ -222,33 +228,31 @@ class TrajectoryData:
                 continue
             if header is None:
                 header = line.split(",")
+                n = sum(1 for h in header if h.startswith("x"))
+                m = sum(1 for h in header if h.startswith("u"))
+                l = sum(1 for h in header if h.startswith("y"))
+                width = len(header)
+                if 1 + n + m + l != width:
+                    raise ValueError(f"unrecognized trajectory header {header}")
                 continue
-            numbers.append(number)
-            rows.append(line.split(","))
-        if T is None or header is None or not rows:
-            raise ValueError("malformed trajectory CSV (missing # T=, header or rows)")
-        n = sum(1 for h in header if h.startswith("x"))
-        m = sum(1 for h in header if h.startswith("u"))
-        l = sum(1 for h in header if h.startswith("y"))
-        width = len(header)
-        if 1 + n + m + l != width:
-            raise ValueError(f"unrecognized trajectory header {header}")
-        for number, cells in zip(numbers, rows):
+            if cells is not None:
+                try:
+                    values.extend(map(float, cells))
+                except ValueError as exc:
+                    raise ValueError(f"trajectory CSV line {last}: {exc}") from None
+            cells, last = line.split(","), number
             if len(cells) != width:
                 raise ValueError(
                     f"trajectory CSV line {number} has {len(cells)} cells, the header {width}"
                 )
-        rows[-1][1 + n : 1 + n + m] = ["nan"] * m  # the final row drives no step
+        if T is None or cells is None:
+            raise ValueError("malformed trajectory CSV (missing # T=, header or rows)")
+        cells[1 + n : 1 + n + m] = ["nan"] * m  # the final row drives no step
         try:
-            values = [float(c) for cells in rows for c in cells]
-        except ValueError:
-            for number, cells in zip(numbers, rows):
-                try:
-                    list(map(float, cells))
-                except ValueError as exc:
-                    raise ValueError(f"trajectory CSV line {number}: {exc}") from None
-            raise
-        table = np.array(values).reshape(len(rows), width)
+            values.extend(map(float, cells))
+        except ValueError as exc:
+            raise ValueError(f"trajectory CSV line {last}: {exc}") from None
+        table = np.array(values).reshape(-1, width)
         return cls(
             T=T,
             states=np.ascontiguousarray(table[:, 1 : 1 + n]),

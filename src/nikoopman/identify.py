@@ -209,8 +209,11 @@ def solve_ni(
     alpha_eye = alpha * eye
 
     # one workspace, refilled in place every iteration in the order of the
-    # formulas; P and Q stay contiguous for their matmuls, and the residual
-    # norms are the ddot of each flat buffer with itself
+    # formulas; P and Q stay contiguous for their products, and the residual
+    # norms are the ddot of each flat buffer with itself.  The products call
+    # np.dot, the BLAS dgemm/ddot of @ without the matmul gufunc's dispatch;
+    # its out= must be C-contiguous float64, as these buffers are.  No operand
+    # may be copied into another layout: that can change the bits
     M = np.empty((2 * N, 2 * N))  # Z - U
     M11, M12, M22 = M[:N, :N], M[:N, N:], M[N:, N:]
     SX = np.empty((2 * N, 2 * N))  # the LMI block S(X)
@@ -226,14 +229,14 @@ def solve_ni(
         # once the primal residual has passed, by the step-size balancing and
         # by the returned record
         np.subtract(Z, Z_prev, out=dZ)
-        return rho * math.sqrt(dz @ dz)
+        return rho * math.sqrt(dz.dot(dz))
 
     primal = dual = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
         np.subtract(Z, U, out=M)
-        np.matmul(GtV, M12, out=cross)
+        np.dot(GtV, M12, out=cross)
         # R = rho * (alpha I + M11 + M22 + cross + cross')
         np.add(alpha_eye, M11, out=R)
         R += M22
@@ -241,15 +244,15 @@ def solve_ni(
         R += cross.T
         R *= rho
         # P = UH ((UH' R UH) / denom) UH', symmetrized
-        np.matmul(UH.T, R, out=W1)
-        np.matmul(W1, UH, out=W2)
+        np.dot(UH.T, R, out=W1)
+        np.dot(W1, UH, out=W2)
         W2 /= denom
-        np.matmul(UH, W2, out=W1)
-        np.matmul(W1, UH.T, out=W2)
+        np.dot(UH, W2, out=W1)
+        np.dot(W1, UH.T, out=W2)
         np.add(W2, W2.T, out=P)
         P *= 0.5
         # Q = f (G_A P + rho M12)
-        np.matmul(G_C, P, out=Q)
+        np.dot(G_C, P, out=Q)
         np.multiply(M12, rho, out=W1)
         Q += W1
         Q *= f
@@ -261,11 +264,11 @@ def solve_ni(
         np.add(SX, U, out=A)
         Z_prev, Z = Z, matcore.psd_project(A)
         np.subtract(SX, Z, out=step)
-        primal = math.sqrt(st @ st)
+        primal = math.sqrt(st.dot(st))
         dual = None
         U += step
         z = Z.ravel()
-        scale = max(1.0, math.sqrt(sx @ sx), math.sqrt(z @ z))
+        scale = max(1.0, math.sqrt(sx.dot(sx)), math.sqrt(z.dot(z)))
         if primal <= tol * scale:
             dual = dual_res()
             if dual <= tol * scale:

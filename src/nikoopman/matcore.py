@@ -91,7 +91,7 @@ def psd_project(a: np.ndarray) -> np.ndarray:
         raise NotConvergedError(f"syevd did not converge (info = {info})")
     # descending eigenvalue order, the summation order of the reassembly
     v = v[:, ::-1].copy()
-    out = (v * np.maximum(w[::-1], 0.0)) @ v.T
+    out = np.dot(v * np.maximum(w[::-1], 0.0), v.T)
     return 0.5 * (out + out.T)
 
 

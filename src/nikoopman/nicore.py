@@ -78,12 +78,14 @@ def linear_recursion(A: np.ndarray, B: np.ndarray, x0, inputs: np.ndarray) -> np
     The terms B u_j of every step are written in place by one product before
     the recursion adds A x_j; with one input each entry is a single product,
     so the states equal those of the step-by-step recursion bit for bit.
+    Each step calls ``ndarray.dot``: the same BLAS ``dgemv`` as ``A @ x``,
+    without the per-call dispatch of the ``matmul`` gufunc.
     """
     states = np.empty((inputs.shape[0] + 1, A.shape[0]))
     states[0] = x0
     np.matmul(inputs, B.T, out=states[1:])
     for x, nxt in zip(states, states[1:]):
-        nxt += A @ x
+        nxt += A.dot(x)
     return states
 
 

@@ -216,27 +216,27 @@ def lift_per_state(dictionary, x):
     return out
 
 
-def simulate_lifted_per_step(mdl, x0, inputs):
-    """Lifted states psi[j + 1] = A psi[j] + B u[j], forming B u every step."""
+def linear_recursion_per_step(A, B, x0, inputs):
+    """States x[j + 1] = A x[j] + B u[j], forming both products every step."""
     inputs = np.asarray(inputs, dtype=float).reshape(len(inputs), -1)
-    psi = np.empty((inputs.shape[0] + 1, mdl.order))
-    psi[0] = mdl.dictionary.lift(x0)
+    states = np.empty((inputs.shape[0] + 1, A.shape[0]))
+    states[0] = np.asarray(x0, dtype=float)
     for j in range(inputs.shape[0]):
-        psi[j + 1] = mdl.A @ psi[j] + mdl.B @ inputs[j]
-    return psi
+        states[j + 1] = A @ states[j] + B @ inputs[j]
+    return states
+
+
+def simulate_lifted_per_step(mdl, x0, inputs):
+    """Lifted states psi[j + 1] = A psi[j] + B u[j] from psi[0], the lifted x0."""
+    return linear_recursion_per_step(mdl.A, mdl.B, mdl.dictionary.lift(x0), inputs)
 
 
 def simulate_continuous_per_step(c, x0, inputs, T):
     """States x[j + 1] = Ad x[j] + Bd u[j] of the exact discretization."""
     from nikoopman.analysis import zoh_discretize
 
-    inputs = np.asarray(inputs, dtype=float).reshape(len(inputs), -1)
     Ad, Bd = zoh_discretize(c, T)
-    states = np.empty((inputs.shape[0] + 1, c.order))
-    states[0] = np.asarray(x0, dtype=float)
-    for j in range(inputs.shape[0]):
-        states[j + 1] = Ad @ states[j] + Bd @ inputs[j]
-    return states
+    return linear_recursion_per_step(Ad, Bd, x0, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ def test_step_response_bounded_by_dc_gain():
 # compare_models
 # ---------------------------------------------------------------------------
 
+GRID = nicore.default_frequency_grid()
+
 
 def linear_traj(seed=0, L=300):
     p = MsdParams(k3=0.0, b0=1.0, b1=0.0, b2=0.0)
@@ -153,7 +155,7 @@ def test_compare_exact_model_zero_mse():
     params, traj = linear_traj()
     lin = analysis.linearize_msd(params, [0.0, 0.0])
     report = analysis.compare_models(
-        traj, [CandidateModel(name="exact", continuous=lin)], ctrl=PpfController()
+        traj, [CandidateModel(name="exact", continuous=lin)], GRID, ctrl=PpfController()
     )
     entry = report.models[0]
     assert entry.error is None
@@ -165,7 +167,7 @@ def test_compare_exact_model_zero_mse():
 
 def test_compare_empty_list():
     _, traj = linear_traj()
-    report = analysis.compare_models(traj, [])
+    report = analysis.compare_models(traj, [], GRID)
     assert report.models == ()
 
 
@@ -180,7 +182,7 @@ def test_compare_isolates_model_failures():
         ),
     )  # eigenvalue at -1 breaks the bilinear transform
     report = analysis.compare_models(
-        traj, [bad, CandidateModel(name="good", continuous=lin)]
+        traj, [bad, CandidateModel(name="good", continuous=lin)], GRID
     )
     assert report.models[0].error is not None
     assert report.models[1].error is None
@@ -207,6 +209,7 @@ def test_compare_report_json_serializable():
     report = analysis.compare_models(
         traj,
         [CandidateModel(name="lin", continuous=lin), bad],
+        GRID,
         ctrl=PpfController(),
         provenance={"seed": 0, "ppf": None},
     )
@@ -227,7 +230,7 @@ def test_compare_lifted_model_with_certificate():
     dic = lifting.LiftingDictionary(n=2, centers=np.zeros((0, 2)))
     res = identify.identify_ni(traj, dic, alpha=1e-5, strict_b=True, max_iters=100000)
     entry = CandidateModel(name="ni", discrete=res.model, P=res.ni.P)
-    report = analysis.compare_models(traj, [entry], ctrl=PpfController())
+    report = analysis.compare_models(traj, [entry], GRID, ctrl=PpfController())
     rep = report.models[0]
     assert rep.error is None
     assert rep.lmi is not None and rep.lmi.certified

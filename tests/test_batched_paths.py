@@ -21,6 +21,7 @@ import pytest
 from oracles import (
     csv_text_per_value,
     freq_response_per_frequency,
+    linear_recursion_per_step,
     psd_project_eigh,
     simulate_array_rk4,
     simulate_continuous_per_step,
@@ -312,6 +313,21 @@ def test_simulate_continuous_matches_per_step(readme_val):
     c = ContinuousLinearModel(A=A - 2.0 * np.eye(4), B=B, C=np.eye(2, 4), D=np.zeros((2, 2)))
     _assert_close_to_scale(analysis.simulate_continuous(c, np.ones(4), u, T),
                            simulate_continuous_per_step(c, np.ones(4), u, T))
+
+
+@pytest.mark.parametrize("order", [1, 2, 8, 14, 26])
+@pytest.mark.parametrize("layout", ["contiguous", "zoh-slice"])
+def test_linear_recursion_matches_per_step(order, layout):
+    A, B, u = _stable_two_input(order, seed=order)
+    B, u = B[:, :1], u[:, :1]
+    if layout == "zoh-slice":
+        # the exact discretization returns Ad as a row-strided view of its exponential
+        c = ContinuousLinearModel(A=A - np.eye(order), B=B, C=np.eye(1, order), D=np.zeros((1, 1)))
+        A, B = analysis.zoh_discretize(c, T)
+        assert order == 1 or not A.flags.c_contiguous
+    x0 = np.linspace(-1.0, 1.0, order)
+    assert np.array_equal(nicore.linear_recursion(A, B, x0, u),
+                          linear_recursion_per_step(A, B, x0, u))
 
 
 # ---------------------------------------------------------------------------

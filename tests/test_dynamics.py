@@ -262,6 +262,15 @@ def test_trajectory_csv_short_then_long_row(tmp_path):
         TrajectoryData.from_csv("\n".join(lines))
 
 
+def test_trajectory_csv_non_numeric_then_short_row(tmp_path):
+    # the first malformed line is named, whichever check it fails
+    text = _csv_with_row(tmp_path, 1, "1.0,0.0,zero,1.0,0.0")
+    lines = text.splitlines()
+    lines[4] = "2.0,0.0,0.0,1.0"
+    with pytest.raises(ValueError, match="line 4: could not convert"):
+        TrajectoryData.from_csv("\n".join(lines))
+
+
 @pytest.mark.parametrize("T", ["nan", "inf"])
 def test_trajectory_csv_non_finite_sampling_time(tmp_path, T):
     lines = _csv_with_row(tmp_path, 0, "0.0,0.0,0.0,1.0,0.0").splitlines()
